@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .core import (
@@ -31,8 +32,8 @@ from .formats import (
     serialize_instance,
     verify_schedule,
 )
-from .oracle import OracleSizeError, brute_force_optimal, enumerate_pareto, oracle_job_limit
-from .solver import SolveResult, pareto_sweep, shortest_schedule
+from .oracle import OracleSizeError, brute_force_optimal, enumerate_pareto
+from .solver import SolveResult, pareto_front, shortest_schedule
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -67,25 +68,11 @@ def _write_plot(schedule: Schedule, path: str) -> None:
 
 def _solve_multicolor(instance: Instance, budget: int) -> SolveResult:
     """Route instances with three or more colors through the oracle."""
-    limit = oracle_job_limit()
-    if len(instance.jobs) > limit:
-        raise OracleSizeError(
-            "no polynomial algorithm is known for three or more colors; "
-            f"exhaustive search handles at most {limit} merged jobs "
-            f"(got {len(instance.jobs)})"
-        )
     outcome = brute_force_optimal(instance, budget)
     if not outcome.feasible:
-        return SolveResult(None, None, None, False, 0)
+        return SolveResult(None, None, None, False)
     schedule = outcome.optimal_schedules[0]
-    changes = color_changes(schedule)
-    return SolveResult(
-        schedule=schedule,
-        total_change=outcome.optimal_total_change,
-        changes=changes,
-        feasible=True,
-        layer_reached=changes + 1,
-    )
+    return SolveResult(schedule, outcome.optimal_total_change, color_changes(schedule), True)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -96,12 +83,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         result = shortest_schedule(instance, budget)
     if result.feasible and args.oracle_check:
-        limit = oracle_job_limit()
-        if len(instance.jobs) > limit:
-            raise OracleSizeError(
-                f"oracle check handles at most {limit} merged jobs, "
-                f"got {len(instance.jobs)}"
-            )
         reference = brute_force_optimal(instance, budget)
         if reference.optimal_total_change != result.total_change:
             print(
@@ -110,6 +91,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_INVALID
+    if args.emit_plot and result.schedule is not None:
+        _write_plot(result.schedule, args.emit_plot)
     print(json.dumps(_result_document(result), indent=2))
     if not result.feasible:
         print(
@@ -118,40 +101,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
-    if args.emit_plot and result.schedule is not None:
-        _write_plot(result.schedule, args.emit_plot)
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input, args.format)
     if len(instance.colors) > 2:
-        limit = oracle_job_limit()
-        if len(instance.jobs) > limit:
-            raise OracleSizeError(
-                "no polynomial algorithm is known for three or more colors; "
-                f"exhaustive search handles at most {limit} merged jobs"
-            )
         table = enumerate_pareto(instance)
-        feasible = [k for k, v in table if v is not None]
-        result = _solve_multicolor(instance, feasible[-1]) if feasible else SolveResult(None, None, None, False, 0)
+        solve = partial(_solve_multicolor, instance)
     else:
-        table = pareto_sweep(instance)
-        best_cap = table[-1][0]
-        result = shortest_schedule(instance, best_cap)
-    print(json.dumps(_result_document(result, pareto=table), indent=2))
-    if args.emit_plot_dir and result.feasible:
+        table, solve = pareto_front(instance)
+    # The top budget is always feasible; every table ends at its optimum.
+    result = solve(table[-1][0])
+    if args.emit_plot_dir:
         out_dir = Path(args.emit_plot_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for k, value in table:
-            if value is None:
-                continue
-            if len(instance.colors) > 2:
-                entry = _solve_multicolor(instance, k)
-            else:
-                entry = shortest_schedule(instance, k)
-            if entry.schedule is not None:
-                _write_plot(entry.schedule, str(out_dir / f"pareto_k{k}.tsv"))
+            if value is not None:
+                _write_plot(solve(k).schedule, str(out_dir / f"pareto_k{k}.tsv"))
+    print(json.dumps(_result_document(result, pareto=table), indent=2))
     return EXIT_OK
 
 

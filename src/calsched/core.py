@@ -20,6 +20,11 @@ from typing import Iterable, Sequence
 
 SCALE = 1000
 
+# Largest allowed (merged job count) x (highest scaled temperature).  No
+# schedule can cost more, which keeps the two-color solver's int64
+# distances far below its unreachable-cell sentinel and clear of overflow.
+MAGNITUDE_LIMIT = 1 << 59
+
 
 class ValidationError(ValueError):
     """Raised for malformed or inconsistent input data."""
@@ -112,6 +117,13 @@ class Instance:
                     "merge duplicates before constructing the instance"
                 )
             seen_pairs.add(pair)
+        hottest = max(job.temperature for job in self.jobs)
+        if len(self.jobs) * hottest > MAGNITUDE_LIMIT:
+            raise ValidationError(
+                f"temperatures too large: {len(self.jobs)} merged jobs times the "
+                f"highest temperature {format_temperature(hottest)} exceeds "
+                f"{format_temperature(MAGNITUDE_LIMIT)}"
+            )
         grouped: dict[int, list[Job]] = {}
         for job in self.jobs:
             grouped.setdefault(job.color, []).append(job)
@@ -297,3 +309,34 @@ def max_feasible_color_changes(instance: Instance) -> int:
     return max_changes_for_counts(
         [instance.count(color) for color in instance.colors]
     )
+
+
+def max_merged_color_changes(instance: Instance) -> int:
+    """Maximum color-change count over schedules that keep each merged
+    job in one piece, the layer count of the exact solvers' tables."""
+    return max_changes_for_counts(
+        [len(instance.sorted_jobs(color)) for color in instance.colors]
+    )
+
+
+def pareto_table(
+    instance: Instance, exact: Sequence[int | None]
+) -> list[tuple[int, int | None]]:
+    """Trade-off table from the optimum with exactly k changes, k = 0, 1, ...
+
+    ``exact`` covers every budget up to :func:`max_merged_color_changes`,
+    with ``None`` where no schedule has exactly k changes.  Entry k of the
+    result is the best value with at most k changes, ``None`` while no
+    schedule qualifies.  Budgets only reachable by splitting merged
+    duplicates cannot beat the merged optimum, so the table runs on flat
+    up to :func:`max_feasible_color_changes`.
+    """
+    table: list[tuple[int, int | None]] = []
+    running: int | None = None
+    for k, value in enumerate(exact):
+        if value is not None and (running is None or value < running):
+            running = value
+        table.append((k, running))
+    top = max_feasible_color_changes(instance)
+    table.extend((k, running) for k in range(len(exact), top + 1))
+    return table

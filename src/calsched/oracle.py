@@ -13,12 +13,7 @@ import os
 from dataclasses import dataclass
 from itertools import permutations
 
-from .core import (
-    Instance,
-    Schedule,
-    max_changes_for_counts,
-    max_feasible_color_changes,
-)
+from .core import Instance, Schedule, max_merged_color_changes, pareto_table
 
 DEFAULT_MAX_JOBS = 16
 PERMUTATION_MAX_JOBS = 10
@@ -32,7 +27,7 @@ class OracleSizeError(ValueError):
 
 
 def oracle_job_limit() -> int:
-    """Size cap for the subset-DP mode (env ``CALSCHED_ORACLE_MAX_N``)."""
+    """Size cap for exhaustive search (env ``CALSCHED_ORACLE_MAX_N``)."""
     raw = os.environ.get("CALSCHED_ORACLE_MAX_N")
     if raw is None:
         return DEFAULT_MAX_JOBS
@@ -42,6 +37,16 @@ def oracle_job_limit() -> int:
         raise OracleSizeError(
             f"CALSCHED_ORACLE_MAX_N must be an integer, got {raw!r}"
         ) from None
+
+
+def _check_size(instance: Instance) -> None:
+    limit = oracle_job_limit()
+    if len(instance.jobs) > limit:
+        raise OracleSizeError(
+            "exhaustive search, the only exact method known for three or "
+            f"more colors, handles at most {limit} merged jobs "
+            f"(got {len(instance.jobs)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,6 @@ def _prepare(instance: Instance) -> tuple[list[int], list[int], list[str]]:
     colors = [job.color for job in jobs]
     ids = [job.id for job in jobs]
     return temps, colors, ids
-
-
-def _merged_max_changes(instance: Instance) -> int:
-    counts = [len(instance.sorted_jobs(color)) for color in instance.colors]
-    return max_changes_for_counts(counts)
 
 
 def _by_permutations(
@@ -234,27 +234,22 @@ def brute_force_optimal(
     """Exact minimum total temperature change under a color-change cap.
 
     ``mode`` is one of ``auto``, ``permutation`` (merged job count <= 10)
-    or ``subset_dp`` (merged job count <= the configurable limit).
+    or ``subset_dp``; every mode refuses instances above
+    :func:`oracle_job_limit`.
     """
     temps, colors, ids = _prepare(instance)
     n = len(temps)
-    dp_limit = oracle_job_limit()
     if mode == "auto":
         mode = "permutation" if n <= 7 else "subset_dp"
-    if mode == "permutation":
-        if n > PERMUTATION_MAX_JOBS:
-            raise OracleSizeError(
-                f"permutation mode handles at most {PERMUTATION_MAX_JOBS} "
-                f"merged jobs, got {n}"
-            )
-    elif mode == "subset_dp":
-        if n > dp_limit:
-            raise OracleSizeError(
-                f"subset-DP mode handles at most {dp_limit} merged jobs, got {n}"
-            )
-    else:
+    if mode not in ("permutation", "subset_dp"):
         raise ValueError(f"unknown oracle mode {mode!r}")
-    cap = min(max_color_changes, _merged_max_changes(instance))
+    if mode == "permutation" and n > PERMUTATION_MAX_JOBS:
+        raise OracleSizeError(
+            f"permutation mode handles at most {PERMUTATION_MAX_JOBS} "
+            f"merged jobs, got {n}"
+        )
+    _check_size(instance)
+    cap = min(max_color_changes, max_merged_color_changes(instance))
     if cap < 0:
         return OracleResult(None, (), k_used=max_color_changes, mode=mode)
     if mode == "permutation":
@@ -297,12 +292,8 @@ def enumerate_pareto(instance: Instance) -> list[tuple[int, int | None]]:
     """
     temps, colors, _ = _prepare(instance)
     n = len(temps)
-    dp_limit = oracle_job_limit()
-    if n > dp_limit:
-        raise OracleSizeError(
-            f"subset-DP mode handles at most {dp_limit} merged jobs, got {n}"
-        )
-    merged_cap = _merged_max_changes(instance)
+    _check_size(instance)
+    merged_cap = max_merged_color_changes(instance)
     tables = _subset_dp_tables(temps, colors, merged_cap)
     final = tables[(1 << n) - 1]
     best_exact = [_INF] * (merged_cap + 1)
@@ -313,15 +304,6 @@ def enumerate_pareto(instance: Instance) -> list[tuple[int, int | None]]:
             for k, v in enumerate(cell):
                 if v < best_exact[k]:
                     best_exact[k] = v
-    table: list[tuple[int, int | None]] = []
-    running = _INF
-    for k, v in enumerate(best_exact):
-        running = min(running, v)
-        table.append((k, None if running == _INF else int(running)))
-    # Duplicate-splitting schedules can push the count higher but never
-    # below the merged optimum; the tail of the table is flat.
-    expanded_cap = max_feasible_color_changes(instance)
-    tail = table[-1][1] if table else None
-    for k in range(merged_cap + 1, expanded_cap + 1):
-        table.append((k, tail))
-    return table
+    return pareto_table(
+        instance, [None if v == _INF else int(v) for v in best_exact]
+    )

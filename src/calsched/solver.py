@@ -12,20 +12,27 @@ The search graph encodes exactly those schedules:
   ``layer`` color changes have happened";
 * exit chains per layer price the final block (the suffix of one color,
   runnable in either direction);
-* the target for ``k`` color changes collects the exit of layer ``k-1``.
+* the target for ``k`` color changes collects the exit of layer ``k-1``;
+  the target for one change (two blocks) joins the two entry chains.
 
 All weights are nonnegative scaled-integer temperature gaps, the graph is
 acyclic, and one pass of relaxations in layer order yields the distances
-of every per-change-count target, which is what the Pareto sweep reads.
-The dense per-layer arrays are numpy ``int64``; node and arc enumeration
-is also provided so small graphs can be audited against a reference
-shortest-path search.
+of every per-change-count target.  Every two-color answer is read from
+that one pass: :meth:`SearchGraph.solve` reconstructs the best schedule
+under any budget up to the graph's, and :func:`pareto_front` returns the
+whole trade-off table together with that per-budget solve, so a sweep
+with plots builds one graph and reconstructs once per distinct optimum.
+The dense per-layer arrays are numpy ``int64``; the magnitude bound that
+:class:`~calsched.core.Instance` enforces keeps every real distance far
+below the ``INF`` sentinel.  Node and arc enumeration is also provided so
+small graphs can be audited against a reference shortest-path search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,8 +42,8 @@ from .core import (
     Schedule,
     ValidationError,
     color_changes,
-    max_changes_for_counts,
-    max_feasible_color_changes,
+    max_merged_color_changes,
+    pareto_table,
     temperature_span,
     total_temperature_change,
 )
@@ -49,31 +56,35 @@ Arc = tuple[Node, Node, int]
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a capped solve.
-
-    ``layer_reached`` is the number of blocks in the returned schedule
-    (one more than its color-change count); zero when infeasible.
-    """
+    """Outcome of a capped solve; every other field is ``None`` when not
+    ``feasible``."""
 
     schedule: Schedule | None
     total_change: int | None
     changes: int | None
     feasible: bool
-    layer_reached: int
 
 
 @dataclass(frozen=True, eq=False)
 class SearchGraph:
     """Layered search graph for a two-color instance.
 
-    ``max_changes`` is the clamped color-change budget (at least 2); the
+    ``max_changes`` is the clamped color-change budget (at least 1); the
     graph has ``max_changes - 1`` grid layers plus entry and exit gadgets.
     """
 
-    jobs0: tuple[Job, ...]
-    jobs1: tuple[Job, ...]
+    instance: Instance
     max_changes: int
     _dp: dict = field(init=False, repr=False, default_factory=dict)
+    _solved: dict = field(init=False, repr=False, default_factory=dict)
+
+    @property
+    def jobs0(self) -> tuple[Job, ...]:
+        return self.instance.sorted_jobs(self.instance.colors[0])
+
+    @property
+    def jobs1(self) -> tuple[Job, ...]:
+        return self.instance.sorted_jobs(self.instance.colors[1])
 
     @property
     def n0(self) -> int:
@@ -197,6 +208,26 @@ class SearchGraph:
         if best >= INF:
             raise AssertionError("no feasible target reached")
         return best, best_k
+
+    def solve(self, budget: int) -> SolveResult:
+        """Best schedule with at most ``budget`` changes (at least 1).
+
+        Budgets whose optimum uses the same change count share one
+        reconstruction.  The schedule's metrics are recomputed from its
+        job sequence, so the reported value always equals the realized one.
+        """
+        value, changes = self.best_under_cap(budget)
+        if changes not in self._solved:
+            jobs = self.reconstruct(changes)
+            realized = total_temperature_change(jobs)
+            if realized != value or color_changes(jobs) != changes:
+                raise AssertionError(
+                    f"reconstruction mismatch: path {value}/{changes}, "
+                    f"schedule {realized}/{color_changes(jobs)}"
+                )
+            schedule = Schedule.from_jobs(self.instance, jobs)
+            self._solved[changes] = SolveResult(schedule, value, changes, True)
+        return self._solved[changes]
 
     # -- schedule reconstruction ----------------------------------------
 
@@ -342,8 +373,7 @@ class SearchGraph:
             2
             + (n0 - 1)
             + (n1 - 1)
-            + n0
-            + n1
+            + (n0 + n1 if cap > 1 else 0)
             + 2
             + (cap - 1) * within
             + max(cap - 2, 0) * within
@@ -385,12 +415,13 @@ class SearchGraph:
             for i in range(1, n[color]):
                 gap = t[color][i] - t[color][i - 1]
                 yield ("entry", color, i), ("entry", color, i + 1), gap
-        for i in range(1, n[0] + 1):
-            w = min(abs(t[1][0] - t[0][i - 1]), abs(t[1][0] - t[0][0]))
-            yield ("entry", 0, i), ("grid", 1, 1, i, 1), w
-        for j in range(1, n[1] + 1):
-            w = min(abs(t[0][0] - t[1][j - 1]), abs(t[0][0] - t[1][0]))
-            yield ("entry", 1, j), ("grid", 1, 0, 1, j), w
+        if cap > 1:  # entry chains feed the first grid layer
+            for i in range(1, n[0] + 1):
+                w = min(abs(t[1][0] - t[0][i - 1]), abs(t[1][0] - t[0][0]))
+                yield ("entry", 0, i), ("grid", 1, 1, i, 1), w
+            for j in range(1, n[1] + 1):
+                w = min(abs(t[0][0] - t[1][j - 1]), abs(t[0][0] - t[1][0]))
+                yield ("entry", 1, j), ("grid", 1, 0, 1, j), w
         borders = min(
             abs(a - b) for a in (t[0][0], t[0][-1]) for b in (t[1][0], t[1][-1])
         )
@@ -428,49 +459,26 @@ class SearchGraph:
             yield ("ltarget", k), ("target",), 0
 
 
-def _merged_cap(instance: Instance) -> int:
-    counts = [len(instance.sorted_jobs(color)) for color in instance.colors]
-    return max_changes_for_counts(counts)
-
-
 def build_search_graph(instance: Instance, max_color_changes: int) -> SearchGraph:
     """Construct the layered graph for a two-color instance.
 
-    The budget is clamped to the achievable maximum before layers are
-    laid out.  Requires both colors, at least three merged jobs, and a
-    clamped budget of at least 2; smaller cases are solved directly by
-    :func:`shortest_schedule`.
+    The budget must be at least 1; it is clamped to the achievable
+    maximum before layers are laid out.
     """
-    colors = instance.colors
-    if len(colors) != 2:
+    if len(instance.colors) != 2:
         raise ValidationError("search graph requires exactly two colors")
-    cap = min(max_color_changes, _merged_cap(instance))
-    jobs0 = instance.sorted_jobs(colors[0])
-    jobs1 = instance.sorted_jobs(colors[1])
-    if len(jobs0) + len(jobs1) < 3 or cap < 2:
+    if max_color_changes < 1:
+        raise ValidationError("search graph requires a budget of at least 1")
+    cap = min(max_color_changes, max_merged_color_changes(instance))
+    return SearchGraph(instance=instance, max_changes=cap)
+
+
+def _check_colors(instance: Instance) -> None:
+    if len(instance.colors) > 2:
         raise ValidationError(
-            "search graph requires at least three merged jobs and a budget of 2"
+            "the exact solver handles two colors; use the exhaustive oracle "
+            "for small instances with more colors"
         )
-    graph = SearchGraph(jobs0=jobs0, jobs1=jobs1, max_changes=cap)
-    return graph
-
-
-def _best_two_blocks(instance: Instance) -> tuple[list[Job], int]:
-    """Cheapest schedule made of one block per color (both orders and
-    orientations tried; ties resolve to the earliest candidate)."""
-    c0, c1 = instance.colors
-    groups = {c: list(instance.sorted_jobs(c)) for c in (c0, c1)}
-    best: tuple[int, list[Job]] | None = None
-    for first, second in ((c0, c1), (c1, c0)):
-        for first_rev in (False, True):
-            for second_rev in (False, True):
-                seq = list(groups[first][::-1] if first_rev else groups[first])
-                seq += list(groups[second][::-1] if second_rev else groups[second])
-                cost = total_temperature_change(seq)
-                if best is None or cost < best[0]:
-                    best = (cost, seq)
-    assert best is not None
-    return best[1], best[0]
 
 
 def shortest_schedule(instance: Instance, max_color_changes: int) -> SolveResult:
@@ -480,48 +488,31 @@ def shortest_schedule(instance: Instance, max_color_changes: int) -> SolveResult
     recomputed from the job sequence, so the reported value always equals
     the realized one.
     """
+    _check_colors(instance)
     colors = instance.colors
-    if len(colors) > 2:
-        raise ValidationError(
-            "the exact solver handles two colors; use the exhaustive oracle "
-            "for small instances with more colors"
-        )
+    if max_color_changes < len(colors) - 1:
+        return SolveResult(None, None, None, False)
     if len(colors) == 1:
-        if max_color_changes < 0:
-            return SolveResult(None, None, None, False, 0)
-        jobs = list(instance.sorted_jobs(colors[0]))
+        jobs = instance.sorted_jobs(colors[0])
         schedule = Schedule.from_jobs(instance, jobs)
-        return SolveResult(
-            schedule=schedule,
-            total_change=total_temperature_change(jobs),
-            changes=0,
-            feasible=True,
-            layer_reached=1,
-        )
-    if max_color_changes < 1:
-        return SolveResult(None, None, None, False, 0)
-    cap = min(max_color_changes, _merged_cap(instance))
-    if cap == 1:
-        jobs, cost = _best_two_blocks(instance)
-        schedule = Schedule.from_jobs(instance, jobs)
-        return SolveResult(schedule, cost, 1, True, layer_reached=2)
-    graph = build_search_graph(instance, cap)
-    value, best_k = graph.best_under_cap(cap)
-    jobs = graph.reconstruct(best_k)
-    schedule = Schedule.from_jobs(instance, jobs)
-    realized = total_temperature_change(jobs)
-    if realized != value or color_changes(jobs) != best_k:
-        raise AssertionError(
-            f"reconstruction mismatch: path {value}/{best_k}, "
-            f"schedule {realized}/{color_changes(jobs)}"
-        )
-    return SolveResult(
-        schedule=schedule,
-        total_change=value,
-        changes=best_k,
-        feasible=True,
-        layer_reached=best_k + 1,
-    )
+        return SolveResult(schedule, total_temperature_change(jobs), 0, True)
+    return build_search_graph(instance, max_color_changes).solve(max_color_changes)
+
+
+def pareto_front(
+    instance: Instance,
+) -> tuple[list[tuple[int, int | None]], Callable[[int], SolveResult]]:
+    """The :func:`pareto_sweep` table and a solve for any budget in it.
+
+    Both read the same single distance pass; the solve takes budgets of
+    at least the first feasible one.
+    """
+    _check_colors(instance)
+    if len(instance.colors) == 1:
+        table = pareto_table(instance, [temperature_span(instance.jobs)])
+        return table, partial(shortest_schedule, instance)
+    graph = build_search_graph(instance, max_merged_color_changes(instance))
+    return pareto_table(instance, [None, *graph.layer_target_distances()]), graph.solve
 
 
 def pareto_sweep(instance: Instance) -> list[tuple[int, int | None]]:
@@ -531,30 +522,4 @@ def pareto_sweep(instance: Instance) -> list[tuple[int, int | None]]:
     maximum; unattainable budgets carry ``None``.  Values are
     non-increasing and end at the global temperature span.
     """
-    colors = instance.colors
-    if len(colors) > 2:
-        raise ValidationError(
-            "the exact solver handles two colors; use the exhaustive oracle "
-            "for small instances with more colors"
-        )
-    if len(colors) == 1:
-        return [(0, temperature_span(instance.jobs))]
-    expanded_cap = max_feasible_color_changes(instance)
-    merged_cap = _merged_cap(instance)
-    table: list[tuple[int, int | None]] = [(0, None)]
-    if merged_cap == 1:
-        _, cost = _best_two_blocks(instance)
-        exact: list[int | None] = [cost]
-    else:
-        graph = build_search_graph(instance, merged_cap)
-        exact = graph.layer_target_distances()
-    running: int | None = None
-    for k, value in enumerate(exact, start=1):
-        if value is not None and (running is None or value < running):
-            running = value
-        table.append((k, running))
-    # Budgets only reachable by splitting merged duplicates cannot beat
-    # the merged optimum; the table tail is flat.
-    for k in range(merged_cap + 1, expanded_cap + 1):
-        table.append((k, running))
-    return table
+    return pareto_front(instance)[0]

@@ -5,8 +5,8 @@ All tolerances are exact (scaled-integer arithmetic); the runtime and
 memory bounds are asserted with generous hardware-independent margins.
 """
 
-import os
 import random
+import resource
 import time
 from contextlib import contextmanager
 
@@ -224,15 +224,14 @@ def test_criterion_6_pareto_sanity(fuzz_corpus):
 
 def test_criterion_7_polynomial_scale_smoke():
     with criterion(7, "500+500 jobs, budget 20: <10s, <2GB, certified output"):
-        psutil = pytest.importorskip("psutil")
         instance = generate_instance(seed=CORPUS_SEED, n0=500, n1=500, t_min=1, t_max=100000)
-        process = psutil.Process(os.getpid())
         start = time.perf_counter()
         result = shortest_schedule(instance, 20)
         elapsed = time.perf_counter() - start
-        rss = process.memory_info().rss
+        # Peak resident size of the whole process so far, in KiB on Linux.
+        peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
         assert elapsed < 10.0
-        assert rss < 2 * 1024**3
+        assert peak_rss < 2 * 1024**3
         assert result.feasible and result.changes <= 20
         ok, violations = check_canonical_form(result.schedule)
         assert ok, violations

@@ -16,6 +16,7 @@ from calsched import (
     partition_blocks,
     total_temperature_change,
 )
+from calsched.core import MAGNITUDE_LIMIT
 from conftest import make_two_color, random_schedules
 
 
@@ -112,6 +113,14 @@ class TestMetrics:
 
 
 class TestInstance:
+    @pytest.mark.parametrize("hot", ["2400000000000000", "9300000000000000", "200000000000000.001"])
+    def test_magnitude_bound(self, hot):
+        with pytest.raises(ValidationError, match="too large"):
+            build_instance([("a", 1, 0), ("b", hot, 1), ("c", 2, 0)])
+
+    def test_magnitude_bound_is_inclusive(self):
+        build_instance([("a", 1, 0), ("b", format_temperature(MAGNITUDE_LIMIT // 2), 1)])
+
     def test_merging_duplicates(self):
         inst = build_instance(
             [("a", 2, 0), ("x", 5, 1), ("b", 2, 0), ("c", 2, 1)]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +11,13 @@ from calsched import (
     emit_plot,
     generate_instance,
     parse_instance,
+    pareto_sweep,
     serialize_instance,
     shortest_schedule,
     total_temperature_change,
     verify_schedule,
 )
+from calsched import solver
 from calsched.cli import main
 from calsched.formats import detect_format, plot_svg, plot_tsv
 from conftest import TEN_JOB_THREE_COLOR, make_two_color, two_color_instances
@@ -210,6 +213,67 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pareto"] == [[0, None], [1, "5"], [2, "3"], [3, "3"]]
+
+    @pytest.mark.parametrize("seed", [None, 5, 6])
+    def test_sweep_builds_one_graph_and_plots_match_solves(
+        self, seed, tmp_path, capsys, monkeypatch
+    ):
+        if seed is None:
+            records = [("w", 1, 0), ("b", 2, 1)]
+        else:  # few distinct temperatures, so duplicates merge
+            rng = random.Random(seed)
+            records = [(f"j{i}", rng.randint(1, 6), i % 2) for i in range(14)]
+        instance = build_instance(records)
+        path = tmp_path / "jobs.csv"
+        path.write_text(serialize_instance(instance, "csv"), encoding="utf-8")
+        builds = []
+        real_build = solver.build_search_graph
+        monkeypatch.setattr(
+            solver, "build_search_graph", lambda *a: builds.append(a) or real_build(*a)
+        )
+        plots = tmp_path / "plots"
+        for extra in ([], ["--emit-plot-dir", str(plots)]):
+            builds.clear()
+            assert main(["sweep", "--input", str(path), *extra]) == 0
+            assert len(builds) == 1
+            doc = json.loads(capsys.readouterr().out)
+        top = shortest_schedule(instance, doc["pareto"][-1][0]).schedule
+        assert doc["schedule"] == list(top.expanded_ids())
+        expected = {}
+        for k, value in pareto_sweep(instance):
+            if value is not None:
+                schedule = shortest_schedule(instance, k).schedule
+                expected[f"pareto_k{k}.tsv"] = plot_tsv(emit_plot(schedule))
+        written = {f.name: f.read_text(encoding="utf-8") for f in plots.iterdir()}
+        assert written == expected
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--max-color-changes", "2", "--emit-plot"], ["sweep", "--emit-plot-dir"]],
+    )
+    def test_unwritable_plot_prints_no_result(self, instance_file, tmp_path, capsys, command):
+        blocker = tmp_path / "not_a_dir"
+        blocker.write_text("", encoding="utf-8")
+        argv = [command[0], "--input", str(instance_file), *command[1:]]
+        assert main([*argv, str(blocker / "out.tsv")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "temperature,command",
+        [
+            ("2400000000000000", ["solve", "--max-color-changes", "2"]),
+            ("2400000000000000", ["solve", "--max-color-changes", "3"]),
+            ("9300000000000000", ["sweep"]),
+        ],
+    )
+    def test_huge_temperature_is_a_validation_error(self, tmp_path, capsys, temperature, command):
+        path = tmp_path / "hot.csv"
+        path.write_text(f"w1,1,0\nw2,{temperature},0\nb1,2,1\nb2,3,1\n", encoding="utf-8")
+        code = main([command[0], "--input", str(path), *command[1:]])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: temperatures too large")
 
     def test_gen_solve_verify_pipeline(self, tmp_path, capsys):
         instance_path = tmp_path / "gen.csv"

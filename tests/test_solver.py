@@ -11,12 +11,14 @@ from calsched import (
     build_search_graph,
     check_canonical_form,
     color_changes,
+    format_temperature,
     max_feasible_color_changes,
     pareto_sweep,
     shortest_schedule,
     temperature_span,
     total_temperature_change,
 )
+from calsched.core import MAGNITUDE_LIMIT
 from conftest import make_two_color, three_color_instance, two_color_instances
 
 
@@ -52,7 +54,9 @@ class TestGraphStructure:
             assert u in node_set and v in node_set
             assert w >= 0
 
-    @pytest.mark.parametrize("n0,n1,cap", [(2, 2, 3), (1, 4, 2), (3, 3, 5), (4, 2, 4)])
+    @pytest.mark.parametrize(
+        "n0,n1,cap", [(2, 2, 3), (1, 4, 2), (3, 3, 5), (4, 2, 4), (1, 1, 1), (3, 2, 1)]
+    )
     def test_counts_for_other_shapes(self, n0, n1, cap):
         inst = make_two_color(
             [10 * i + 1 for i in range(n0)], [10 * i + 5 for i in range(n1)]
@@ -89,19 +93,15 @@ class TestGraphStructure:
         with pytest.raises(ValidationError):
             build_search_graph(build_instance([("a", 1, 0), ("b", 2, 0)]), 4)
         with pytest.raises(ValidationError):
-            build_search_graph(make_two_color([1], [2]), 4)
-        with pytest.raises(ValidationError):
             build_search_graph(three_color_instance(), 4)
+        with pytest.raises(ValidationError):
+            build_search_graph(make_two_color([1], [2]), 0)
+        assert build_search_graph(make_two_color([1], [2]), 4).max_changes == 1
 
     @given(two_color_instances(max_jobs=7, max_temp=25))
     @settings(max_examples=30, deadline=None)
     def test_layer_targets_match_reference_search(self, instance):
-        counts = [len(instance.sorted_jobs(c)) for c in instance.colors]
-        if min(counts) + max(counts) < 3:
-            return
         cap = max_feasible_color_changes(instance)
-        if cap < 2:
-            return
         graph = build_search_graph(instance, cap)
         dist = dijkstra(list(graph.iter_arcs()), ("source",))
         for k, value in enumerate(graph.layer_target_distances(), start=1):
@@ -117,7 +117,6 @@ class TestShortestSchedule:
         result = shortest_schedule(inst, 1)
         assert result.total_change == 5000
         assert result.changes == 1
-        assert result.layer_reached == 2
 
     def test_budget_two_example(self):
         inst = make_two_color([1, 4], [2, 3])
@@ -137,7 +136,33 @@ class TestShortestSchedule:
         result = shortest_schedule(inst, 0)
         assert not result.feasible
         assert result.schedule is None
-        assert result.layer_reached == 0
+
+    @given(two_color_instances(max_jobs=8, max_temp=40))
+    @settings(max_examples=40, deadline=None)
+    def test_budget_one_is_first_cheapest_two_block_layout(self, instance):
+        # Both color orders, each block either way round, in this order;
+        # the first cheapest layout wins ties.
+        first, second = (instance.sorted_jobs(c) for c in instance.colors)
+        layouts = [
+            list(a[::-1] if rev_a else a) + list(b[::-1] if rev_b else b)
+            for a, b in ((first, second), (second, first))
+            for rev_a in (False, True)
+            for rev_b in (False, True)
+        ]
+        result = shortest_schedule(instance, 1)
+        assert list(result.schedule.jobs) == min(layouts, key=total_temperature_change)
+
+    def test_magnitude_bound_keeps_distances_exact(self):
+        # Temperatures at the largest magnitude an instance may have.
+        top = MAGNITUDE_LIMIT // 5
+        temps = [(0, 0), (top, 0), (top // 3, 0), (top // 2, 1), (top - 1, 1)]
+        inst = build_instance(
+            [(f"j{i}", format_temperature(t), c) for i, (t, c) in enumerate(temps)]
+        )
+        for cap in range(1, max_feasible_color_changes(inst) + 1):
+            result = shortest_schedule(inst, cap)
+            assert result.total_change == brute_force_optimal(inst, cap).optimal_total_change
+        assert pareto_sweep(inst)[-1] == (4, top)
 
     def test_three_colors_rejected(self):
         with pytest.raises(ValidationError):
