@@ -4,7 +4,7 @@ Subcommands: ``solve``, ``sweep``, ``gen``, ``verify``.  Results are JSON
 documents on stdout; temperatures appear as decimal strings.
 
 Exit codes: 0 success, 1 parse/validation error, 2 infeasible budget,
-3 exhaustive-search size refusal.
+3 exhaustive-search size refusal, 4 internal error (a failed self-check).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 from .core import (
@@ -32,13 +31,15 @@ from .formats import (
     serialize_instance,
     verify_schedule,
 )
-from .oracle import OracleSizeError, brute_force_optimal, enumerate_pareto
+from .oracle import OracleResult, OracleSizeError, brute_force_optimal
+from .oracle import pareto_front as oracle_front
 from .solver import SolveResult, pareto_front, shortest_schedule
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_INFEASIBLE = 2
 EXIT_TOO_LARGE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_instance(path: str, fmt: str | None) -> Instance:
@@ -66,9 +67,8 @@ def _write_plot(schedule: Schedule, path: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _solve_multicolor(instance: Instance, budget: int) -> SolveResult:
-    """Route instances with three or more colors through the oracle."""
-    outcome = brute_force_optimal(instance, budget)
+def _solve_multicolor(outcome: OracleResult) -> SolveResult:
+    """The answer for three or more colors: the oracle's first optimum."""
     if not outcome.feasible:
         return SolveResult(None, None, None, False)
     schedule = outcome.optimal_schedules[0]
@@ -79,7 +79,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input, args.format)
     budget = args.max_color_changes
     if len(instance.colors) > 2:
-        result = _solve_multicolor(instance, budget)
+        result = _solve_multicolor(brute_force_optimal(instance, budget))
     else:
         result = shortest_schedule(instance, budget)
     if result.feasible and args.oracle_check:
@@ -107,8 +107,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input, args.format)
     if len(instance.colors) > 2:
-        table = enumerate_pareto(instance)
-        solve = partial(_solve_multicolor, instance)
+        table, oracle_solve = oracle_front(instance)
+
+        def solve(k: int) -> SolveResult:
+            return _solve_multicolor(oracle_solve(k))
     else:
         table, solve = pareto_front(instance)
     # The top budget is always feasible; every table ends at its optimum.
@@ -208,6 +210,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except AssertionError as exc:
+        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

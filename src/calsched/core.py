@@ -23,7 +23,12 @@ SCALE = 1000
 # Largest allowed (merged job count) x (highest scaled temperature).  No
 # schedule can cost more, which keeps the two-color solver's int64
 # distances far below its unreachable-cell sentinel and clear of overflow.
+# It also keeps the exhaustive solver's sums exact: every schedule costs at
+# most 2^59, and INF plus one edge stays below 2^63.
 MAGNITUDE_LIMIT = 1 << 59
+
+# Unreachable-cell sentinel of the exact solvers' int64 tables.
+INF = 1 << 61
 
 
 class ValidationError(ValueError):
@@ -95,6 +100,7 @@ class Instance:
     _by_color: dict[int, tuple[Job, ...]] = field(
         init=False, repr=False, compare=False
     )
+    _by_id: dict[str, Job] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.jobs:
@@ -132,6 +138,7 @@ class Instance:
             for color, group in grouped.items()
         }
         object.__setattr__(self, "_by_color", by_color)
+        object.__setattr__(self, "_by_id", {job.id: job for job in self.jobs})
 
     @property
     def colors(self) -> tuple[int, ...]:
@@ -151,10 +158,7 @@ class Instance:
         return self._by_color.get(color, ())
 
     def job_by_id(self, job_id: str) -> Job:
-        for job in self.jobs:
-            if job.id == job_id:
-                return job
-        raise KeyError(job_id)
+        return self._by_id[job_id]
 
 
 def build_instance(records: Iterable[tuple[object, object, object]]) -> Instance:
@@ -194,7 +198,7 @@ class Schedule:
     order: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        expected = {job.id for job in self.instance.jobs}
+        expected = self.instance._by_id.keys()
         if len(self.order) != len(expected) or set(self.order) != expected:
             raise ValidationError("schedule is not a permutation of the instance")
 
@@ -204,7 +208,7 @@ class Schedule:
 
     @property
     def jobs(self) -> tuple[Job, ...]:
-        lookup = {job.id: job for job in self.instance.jobs}
+        lookup = self.instance._by_id
         return tuple(lookup[job_id] for job_id in self.order)
 
     def expanded_ids(self) -> tuple[str, ...]:

@@ -1,25 +1,45 @@
 """Exhaustive reference solver for small instances (any number of colors).
 
 Two interchangeable modes: full permutation enumeration and a dynamic
-program over (consumed-subset, last job, changes used).  Both are exact
-for the capped problem and agree wherever both run; they exist to certify
-the polynomial graph solver and to explore instances with three or more
-colors, where no polynomial algorithm is known.
+program over (consumed subset, last job, color changes used).  Both are
+exact for the capped problem and agree wherever both run; they exist to
+certify the polynomial graph solver and to explore instances with three or
+more colors, where no polynomial algorithm is known.
+
+The subset DP is one dense numpy ``int64`` table ``D[mask, last, k]``: the
+least total change over orderings of the jobs in ``mask`` that end at
+``last`` with exactly ``k`` color changes.  It is filled one popcount layer
+at a time in pull form.  Each cell ``(mask, nxt)`` reads its one
+predecessor mask ``mask ^ (1 << nxt)``: the minimum over same-color last
+jobs keeps ``k``, the minimum over other-color last jobs is shifted by one
+change.  Cells of a layer whose next job shares a color are computed
+together, and no two write the same cell.  Unreachable cells hold the
+``INF`` sentinel, and every written cell is clamped at it; the magnitude
+bound of :class:`~calsched.core.Instance` keeps every real sum exact below
+it.  Entries with ``k`` up to some cap do not depend on the table's width,
+so :func:`pareto_front` builds one table at the merged maximum and answers
+the trade-off table and every budget from it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
+from typing import Callable
 
-from .core import Instance, Schedule, max_merged_color_changes, pareto_table
+import numpy as np
+
+from .core import INF, Instance, Schedule, max_merged_color_changes, pareto_table
 
 DEFAULT_MAX_JOBS = 16
 PERMUTATION_MAX_JOBS = 10
 DEFAULT_SCHEDULE_CAP = 64
 
-_INF = float("inf")
+# Masks per subset-DP step are capped so that no temporary holds more than
+# about this many cells (4 MB); the table itself then dominates memory.
+_BLOCK_CELLS = 1 << 19
 
 
 class OracleSizeError(ValueError):
@@ -76,7 +96,7 @@ def _by_permutations(
     temps: list[int], colors: list[int], cap: int, schedule_cap: int
 ) -> tuple[int | None, list[tuple[int, ...]], bool]:
     n = len(temps)
-    best: int | float = _INF
+    best = INF
     found: list[tuple[int, ...]] = []
     overflow = False
     for perm in permutations(range(n)):
@@ -106,83 +126,77 @@ def _by_permutations(
                 found.append(perm)
             else:
                 overflow = True
-    if best == _INF:
+    if best == INF:
         return None, [], False
     found.sort()
     if len(found) > schedule_cap:
         overflow = True
         found = found[:schedule_cap]
-    return int(best), found, overflow
+    return best, found, overflow
 
 
-def _subset_dp_tables(
-    temps: list[int], colors: list[int], cap: int
-) -> list[list[list[float] | None] | None]:
-    """d[mask][last][k] = min total change over orderings of ``mask`` that
-    end at ``last`` with exactly ``k`` color changes (k <= cap)."""
+def _pull(
+    rows: np.ndarray, lasts: np.ndarray, base: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """Per target ``p``, the least ``rows[base[p] + lasts[i]] + weights[i, p]``
+    over ``i``: the best way to reach ``p`` from any of ``lasts``."""
+    reach = np.take(rows, lasts[:, None] + base, axis=0)
+    reach += weights[:, :, None]
+    return reach.min(axis=0)
+
+
+def _subset_dp_table(temps: list[int], colors: list[int], cap: int) -> np.ndarray:
+    """``D[mask, last, k]``, shape ``(2^n, n, cap + 1)``; see the module notes."""
     n = len(temps)
-    width = cap + 1
-    weights = [[abs(temps[i] - temps[j]) for j in range(n)] for i in range(n)]
-    differs = [[colors[i] != colors[j] for j in range(n)] for i in range(n)]
-    tables: list[list[list[float] | None] | None] = [None] * (1 << n)
-    for i in range(n):
-        row: list[list[float] | None] = [None] * n
-        cell = [_INF] * width
-        cell[0] = 0
-        row[i] = cell
-        tables[1 << i] = row
-    for mask in range(1, 1 << n):
-        row = tables[mask]
-        if row is None:
-            continue
-        free = [j for j in range(n) if not mask >> j & 1]
-        if not free:
-            continue
-        for last in range(n):
-            cell = row[last]
-            if cell is None:
-                continue
-            w_last = weights[last]
-            d_last = differs[last]
-            for nxt in free:
-                new_mask = mask | (1 << nxt)
-                new_row = tables[new_mask]
-                if new_row is None:
-                    new_row = [None] * n
-                    tables[new_mask] = new_row
-                target = new_row[nxt]
-                if target is None:
-                    target = [_INF] * width
-                    new_row[nxt] = target
-                w = w_last[nxt]
-                if d_last[nxt]:
-                    for k in range(width - 1):
-                        v = cell[k]
-                        if v + w < target[k + 1]:
-                            target[k + 1] = v + w
-                else:
-                    for k in range(width):
-                        v = cell[k]
-                        if v + w < target[k]:
-                            target[k] = v + w
-    return tables
+    t = np.array(temps, dtype=np.int64)
+    weights = np.abs(t[:, None] - t[None, :])
+    color = np.array(colors)
+    jobs = np.arange(n)
+    table = np.full((1 << n, n, cap + 1), INF, dtype=np.int64)
+    table[1 << jobs, jobs, 0] = 0
+    rows = table.reshape(-1, cap + 1)  # row mask * n + last
+    masks = np.arange(1 << n)
+    popcount = sum((masks >> j) & 1 for j in range(n))
+    groups = [(jobs[color == c], jobs[color != c]) for c in np.unique(color)]
+    step = max(1, _BLOCK_CELLS // (n * n * (cap + 1)))
+    for size in range(2, n + 1):
+        layer = masks[popcount == size]
+        for start in range(0, len(layer), step):
+            block = layer[start : start + step]
+            for own, foreign in groups:
+                # Every (mask, nxt) of this block with nxt of this color, and
+                # the row offset of its one predecessor mask.
+                at, pick = np.nonzero(block[:, None] >> own & 1)
+                grown, nxt = block[at], own[pick]
+                base = (grown ^ (1 << nxt)) * n
+                # own holds nxt itself, whose predecessor cell is INF
+                cell = _pull(rows, own, base, weights[own][:, nxt])
+                if foreign.size and cap:
+                    shifted = _pull(rows, foreign, base, weights[foreign][:, nxt])
+                    np.minimum(cell[:, 1:], shifted[:, :-1], out=cell[:, 1:])
+                table[grown, nxt] = np.minimum(cell, INF, out=cell)
+    return table
 
 
 def _collect_dp_schedules(
-    tables: list[list[list[float] | None] | None],
+    table: np.ndarray,
     temps: list[int],
     colors: list[int],
     cap: int,
     best: int,
     schedule_cap: int,
 ) -> tuple[list[tuple[int, ...]], bool]:
-    """Enumerate every ordering realizing ``best`` within the change cap."""
+    """Enumerate every ordering realizing ``best`` within the change cap.
+
+    Visits final jobs ascending, then change counts ascending, then
+    predecessors ascending, so a truncated enumeration keeps the same
+    schedules whatever the table's width.
+    """
     n = len(temps)
-    full = (1 << n) - 1
     found: list[tuple[int, ...]] = []
     overflow = False
 
-    def walk(mask: int, last: int, k: int, value: float, suffix: tuple[int, ...]) -> None:
+    def walk(mask: int, last: int, k: int, value: int, suffix: tuple[int, ...]) -> None:
         nonlocal overflow
         if overflow:
             return
@@ -192,32 +206,23 @@ def _collect_dp_schedules(
                 overflow = True
             return
         rest = mask ^ (1 << last)
-        row = tables[rest]
-        if row is None:
-            return
+        row = table[rest].tolist()
         for prev in range(n):
             if not rest >> prev & 1:
-                continue
-            cell = row[prev]
-            if cell is None:
                 continue
             pk = k - (1 if colors[prev] != colors[last] else 0)
             if pk < 0:
                 continue
             pv = value - abs(temps[prev] - temps[last])
-            if pv < 0 or cell[pk] != pv:
+            if pv < 0 or row[prev][pk] != pv:
                 continue
             walk(rest, prev, pk, pv, (last,) + suffix)
 
-    final = tables[full]
-    if final is not None:
-        for last in range(n):
-            cell = final[last]
-            if cell is None:
-                continue
-            for k in range(cap + 1):
-                if cell[k] == best:
-                    walk(full, last, k, best, ())
+    final = table[-1].tolist()
+    for last in range(n):
+        for k in range(cap + 1):
+            if final[last][k] == best:
+                walk(len(table) - 1, last, k, best, ())
     found.sort()
     if len(found) > schedule_cap:
         overflow = True
@@ -225,20 +230,8 @@ def _collect_dp_schedules(
     return found, overflow
 
 
-def brute_force_optimal(
-    instance: Instance,
-    max_color_changes: int,
-    mode: str = "auto",
-    schedule_cap: int = DEFAULT_SCHEDULE_CAP,
-) -> OracleResult:
-    """Exact minimum total temperature change under a color-change cap.
-
-    ``mode`` is one of ``auto``, ``permutation`` (merged job count <= 10)
-    or ``subset_dp``; every mode refuses instances above
-    :func:`oracle_job_limit`.
-    """
-    temps, colors, ids = _prepare(instance)
-    n = len(temps)
+def _resolve_mode(instance: Instance, mode: str) -> str:
+    n = len(instance.jobs)
     if mode == "auto":
         mode = "permutation" if n <= 7 else "subset_dp"
     if mode not in ("permutation", "subset_dp"):
@@ -249,25 +242,34 @@ def brute_force_optimal(
             f"merged jobs, got {n}"
         )
     _check_size(instance)
+    return mode
+
+
+def _solve(
+    instance: Instance,
+    mode: str,
+    schedule_cap: int,
+    table: np.ndarray | None,
+    max_color_changes: int,
+) -> OracleResult:
+    """Optimum under a budget by ``mode``; ``subset_dp`` reads ``table``,
+    built here at the budget when ``None``."""
+    temps, colors, ids = _prepare(instance)
     cap = min(max_color_changes, max_merged_color_changes(instance))
     if cap < 0:
         return OracleResult(None, (), k_used=max_color_changes, mode=mode)
+    best: int | None
     if mode == "permutation":
         best, orders, truncated = _by_permutations(temps, colors, cap, schedule_cap)
     else:
-        tables = _subset_dp_tables(temps, colors, cap)
-        final = tables[(1 << n) - 1]
-        best_val = _INF
-        if final is not None:
-            for cell in final:
-                if cell is not None:
-                    best_val = min(best_val, min(cell))
-        if best_val == _INF or final is None:
+        if table is None:
+            table = _subset_dp_table(temps, colors, cap)
+        best = int(table[-1, :, : cap + 1].min())
+        if best >= INF:
             best, orders, truncated = None, [], False
         else:
-            best = int(best_val)
             orders, truncated = _collect_dp_schedules(
-                tables, temps, colors, cap, best, schedule_cap
+                table, temps, colors, cap, best, schedule_cap
             )
     if best is None:
         return OracleResult(None, (), k_used=cap, mode=mode)
@@ -284,26 +286,42 @@ def brute_force_optimal(
     )
 
 
+def brute_force_optimal(
+    instance: Instance,
+    max_color_changes: int,
+    mode: str = "auto",
+    schedule_cap: int = DEFAULT_SCHEDULE_CAP,
+) -> OracleResult:
+    """Exact minimum total temperature change under a color-change cap.
+
+    ``mode`` is one of ``auto``, ``permutation`` (merged job count <= 10)
+    or ``subset_dp``; every mode refuses instances above
+    :func:`oracle_job_limit`.
+    """
+    mode = _resolve_mode(instance, mode)
+    return _solve(instance, mode, schedule_cap, None, max_color_changes)
+
+
+def pareto_front(
+    instance: Instance,
+) -> tuple[list[tuple[int, int | None]], Callable[[int], OracleResult]]:
+    """The :func:`enumerate_pareto` table and a solve for any budget.
+
+    Both read one subset-DP table built at the merged maximum; the solve
+    returns what ``brute_force_optimal(instance, k)`` returns.
+    """
+    mode = _resolve_mode(instance, "auto")
+    temps, colors, _ = _prepare(instance)
+    table = _subset_dp_table(temps, colors, max_merged_color_changes(instance))
+    exact = table[-1].min(axis=0).tolist()
+    front = pareto_table(instance, [None if v >= INF else v for v in exact])
+    return front, partial(_solve, instance, mode, DEFAULT_SCHEDULE_CAP, table)
+
+
 def enumerate_pareto(instance: Instance) -> list[tuple[int, int | None]]:
     """Exact table of (cap, optimal total change) for every feasible cap.
 
     Entries run from 0 to the combinatorial maximum of the color-change
     count; caps no schedule satisfies are flagged with ``None``.
     """
-    temps, colors, _ = _prepare(instance)
-    n = len(temps)
-    _check_size(instance)
-    merged_cap = max_merged_color_changes(instance)
-    tables = _subset_dp_tables(temps, colors, merged_cap)
-    final = tables[(1 << n) - 1]
-    best_exact = [_INF] * (merged_cap + 1)
-    if final is not None:
-        for cell in final:
-            if cell is None:
-                continue
-            for k, v in enumerate(cell):
-                if v < best_exact[k]:
-                    best_exact[k] = v
-    return pareto_table(
-        instance, [None if v == _INF else int(v) for v in best_exact]
-    )
+    return pareto_front(instance)[0]

@@ -37,6 +37,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .core import (
+    INF,
     Instance,
     Job,
     Schedule,
@@ -47,8 +48,6 @@ from .core import (
     temperature_span,
     total_temperature_change,
 )
-
-INF = 1 << 61
 
 Node = tuple
 Arc = tuple[Node, Node, int]

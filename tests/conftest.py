@@ -52,3 +52,16 @@ def random_schedules(draw, max_jobs=8, max_temp=50):
     instance = draw(two_color_instances(max_jobs=max_jobs, max_temp=max_temp))
     jobs = draw(st.permutations(list(instance.jobs)))
     return Schedule.from_jobs(instance, jobs)
+
+
+@st.composite
+def job_records(draw, min_colors=1, max_colors=3, max_jobs=7, max_temp=5):
+    """(id, temperature, color) records using colors 0 .. k-1, every one of
+    them; equal (temperature, color) pairs are allowed and merge."""
+    k = draw(st.integers(min_value=min_colors, max_value=max_colors))
+    n = draw(st.integers(min_value=k, max_value=max_jobs))
+    colors = list(range(k)) + draw(
+        st.lists(st.integers(0, k - 1), min_size=n - k, max_size=n - k)
+    )
+    temps = draw(st.lists(st.integers(0, max_temp), min_size=n, max_size=n))
+    return [(f"j{i}", t, c) for i, (t, c) in enumerate(zip(temps, colors))]

@@ -17,8 +17,8 @@ from calsched import (
     total_temperature_change,
     verify_schedule,
 )
-from calsched import solver
-from calsched.cli import main
+from calsched import brute_force_optimal, oracle, solver
+from calsched.cli import EXIT_INTERNAL, main
 from calsched.formats import detect_format, plot_svg, plot_tsv
 from conftest import TEN_JOB_THREE_COLOR, make_two_color, two_color_instances
 
@@ -246,6 +246,48 @@ class TestCli:
                 expected[f"pareto_k{k}.tsv"] = plot_tsv(emit_plot(schedule))
         written = {f.name: f.read_text(encoding="utf-8") for f in plots.iterdir()}
         assert written == expected
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_multicolor_sweep_builds_one_table_and_plots_match_solves(
+        self, seed, tmp_path, capsys, monkeypatch
+    ):
+        rng = random.Random(seed)  # few distinct temperatures, so duplicates merge
+        records = [(f"j{i}", rng.randint(1, 4), i % 3) for i in range(14)]
+        instance = build_instance(records)
+        assert 8 <= len(instance.jobs) < 14
+        path = tmp_path / "jobs.csv"
+        path.write_text(serialize_instance(instance, "csv"), encoding="utf-8")
+        builds = []
+        real_table = oracle._subset_dp_table
+        monkeypatch.setattr(
+            oracle, "_subset_dp_table", lambda *a: builds.append(a) or real_table(*a)
+        )
+        plots = tmp_path / "plots"
+        for extra in ([], ["--emit-plot-dir", str(plots)]):
+            builds.clear()
+            assert main(["sweep", "--input", str(path), *extra]) == 0
+            assert len(builds) == 1
+            doc = json.loads(capsys.readouterr().out)
+        top = brute_force_optimal(instance, doc["pareto"][-1][0]).optimal_schedules[0]
+        assert doc["schedule"] == list(top.expanded_ids())
+        expected = {}
+        for k, value in doc["pareto"]:
+            if value is not None:
+                schedule = brute_force_optimal(instance, k).optimal_schedules[0]
+                expected[f"pareto_k{k}.tsv"] = plot_tsv(emit_plot(schedule))
+        written = {f.name: f.read_text(encoding="utf-8") for f in plots.iterdir()}
+        assert written == expected
+
+    def test_failed_self_check_is_an_internal_error(self, instance_file, capsys, monkeypatch):
+        def broken(self, budget):
+            raise AssertionError("backtrack mismatch on color-0 grid")
+
+        monkeypatch.setattr(solver.SearchGraph, "solve", broken)
+        code = main(["solve", "--input", str(instance_file), "--max-color-changes", "2"])
+        assert code == EXIT_INTERNAL == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: backtrack mismatch on color-0 grid\n"
 
     @pytest.mark.parametrize(
         "command",

@@ -2,19 +2,30 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calsched import (
+    Instance,
+    Job,
     brute_force_optimal,
     build_instance,
     check_canonical_form,
     color_changes,
     enumerate_pareto,
     normalize,
+    pareto_sweep,
     temperature_span,
     total_temperature_change,
 )
+from calsched import oracle
+from calsched.core import MAGNITUDE_LIMIT, max_merged_color_changes
 from calsched.oracle import OracleSizeError, oracle_job_limit
-from conftest import THREE_COLOR_OPTIMUM, make_two_color, two_color_instances
+from conftest import (
+    THREE_COLOR_OPTIMUM,
+    job_records,
+    make_two_color,
+    two_color_instances,
+)
 
 
 class TestThreeColorInstance:
@@ -64,6 +75,73 @@ class TestModes:
                 assert {s.order for s in a.optimal_schedules} == {
                     s.order for s in b.optimal_schedules
                 }
+
+    @given(job_records(min_colors=3, max_colors=4), st.sampled_from([1, 3, 64]))
+    @settings(max_examples=40, deadline=None)
+    def test_multicolor_modes_agree(self, records, schedule_cap):
+        instance = build_instance(records)
+        index = {job.id: i for i, job in enumerate(instance.jobs)}
+        for cap in range(max_merged_color_changes(instance) + 1):
+            a = brute_force_optimal(instance, cap, "permutation", schedule_cap)
+            b = brute_force_optimal(instance, cap, "subset_dp", schedule_cap)
+            assert a.optimal_total_change == b.optimal_total_change
+            if not (a.truncated or b.truncated):
+                assert [s.order for s in a.optimal_schedules] == [
+                    s.order for s in b.optimal_schedules
+                ]
+            for result in (a, b):
+                if not result.truncated:
+                    continue
+                assert len(result.optimal_schedules) == schedule_cap
+                orders = [
+                    tuple(index[i] for i in s.order) for s in result.optimal_schedules
+                ]
+                assert all(x < y for x, y in zip(orders, orders[1:]))
+                for s in result.optimal_schedules:
+                    assert total_temperature_change(s) == result.optimal_total_change
+                    assert color_changes(s) <= cap
+
+    def test_truncated_golden(self):
+        # Pinned from the nested-list subset DP that the numpy table
+        # replaced.  Truncation keeps the first schedule_cap + 1 schedules
+        # in walk order, then sorts: the sorted first four of all six
+        # optima differ, so this pins the walk order too.
+        records = [
+            ("j0", 2, 0), ("j1", 1, 1), ("j2", 3, 2), ("j3", 0, 0), ("j4", 0, 1),
+            ("j5", 4, 2), ("j6", 0, 0), ("j7", 2, 1), ("j8", 4, 2),
+        ]
+        instance = build_instance(records)
+        result = brute_force_optimal(instance, 4, mode="subset_dp", schedule_cap=4)
+        golden = [
+            ("j3", "j4", "j1", "j7", "j0", "j2", "j5"),
+            ("j4", "j3", "j1", "j7", "j0", "j2", "j5"),
+            ("j5", "j2", "j0", "j7", "j1", "j3", "j4"),
+            ("j5", "j2", "j0", "j7", "j1", "j4", "j3"),
+        ]
+        assert (result.optimal_total_change, result.k_used, result.truncated) == (4000, 4, True)
+        assert [s.order for s in result.optimal_schedules] == golden
+        everything = brute_force_optimal(instance, 4, mode="subset_dp")
+        assert not everything.truncated and len(everything.optimal_schedules) == 6
+        assert sorted(s.order for s in everything.optimal_schedules)[:4] != golden
+
+    def test_magnitude_limit_keeps_sums_exact(self):
+        # Three colors at exactly the largest magnitude an instance may have.
+        top = MAGNITUDE_LIMIT // 8
+        temps = [
+            (0, 0), (top, 1), (top // 3, 2), (top // 2, 0),
+            (top - 1, 1), (7, 2), (top // 5, 1), (top - 9, 0),
+        ]
+        instance = Instance(
+            tuple(Job(f"j{i}", t, c) for i, (t, c) in enumerate(temps))
+        )
+        assert len(instance.jobs) * top == MAGNITUDE_LIMIT
+        table = dict(enumerate_pareto(instance))
+        for cap in range(max_merged_color_changes(instance) + 1):
+            a = brute_force_optimal(instance, cap, mode="permutation")
+            b = brute_force_optimal(instance, cap, mode="subset_dp")
+            assert type(b.optimal_total_change) is type(a.optimal_total_change)
+            assert a.optimal_total_change == b.optimal_total_change == table[cap]
+        assert table[cap] == top
 
     def test_unknown_mode_rejected(self):
         inst = make_two_color([1], [2])
@@ -146,3 +224,77 @@ class TestParetoTable:
         table = enumerate_pareto(inst)
         assert [k for k, _ in table] == [0, 1, 2]
         assert table[1][1] == table[2][1] == 1000
+
+
+class TestParetoFront:
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [("a", 3, 0), ("b", 1, 0), ("c", 3, 0), ("d", 2, 0)],
+            [("j0", 2, 0), ("j1", 1, 1), ("j2", 3, 2), ("j3", 0, 0), ("j4", 0, 1)],
+            [(f"j{i}", i % 3, i // 3 % 3) for i in range(11)],
+        ],
+        ids=["one-color", "permutation", "merged-subset-dp"],
+    )
+    def test_one_table_serves_every_budget(self, records, monkeypatch):
+        instance = build_instance(records)
+        builds = []
+        real_table = oracle._subset_dp_table
+        monkeypatch.setattr(
+            oracle, "_subset_dp_table", lambda *a: builds.append(a) or real_table(*a)
+        )
+        table, solve = oracle.pareto_front(instance)
+        answers = [solve(k) for k in range(-1, len(table) + 1)]
+        assert len(builds) == 1
+        assert table == enumerate_pareto(instance)
+        assert answers == [
+            brute_force_optimal(instance, k) for k in range(-1, len(table) + 1)
+        ]
+
+
+def _relabel(records, mapping):
+    return [(i, t, mapping[c]) for i, t, c in records]
+
+
+PARETO_CASES = [
+    (enumerate_pareto, job_records(min_colors=1, max_colors=3, max_temp=9)),
+    (pareto_sweep, job_records(min_colors=2, max_colors=2, max_jobs=10, max_temp=9)),
+]
+
+
+@pytest.mark.parametrize(
+    "pareto,records", PARETO_CASES, ids=["enumerate_pareto", "pareto_sweep"]
+)
+class TestMetamorphic:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_temperature_shift_keeps_table(self, pareto, records, data):
+        base = data.draw(records)
+        shift = data.draw(st.integers(1, 1000))
+        shifted = [(i, t + shift, c) for i, t, c in base]
+        assert pareto(build_instance(shifted)) == pareto(build_instance(base))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_color_relabeling_keeps_table(self, pareto, records, data):
+        base = data.draw(records)
+        mapping = data.draw(st.permutations(range(5)))
+        relabeled = _relabel(base, mapping)
+        assert pareto(build_instance(relabeled)) == pareto(build_instance(base))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_exact_duplicate_keeps_every_budget(self, pareto, records, data):
+        base = data.draw(records)
+        _, t, c = data.draw(st.sampled_from(base))
+        table = pareto(build_instance(base))
+        grown = pareto(build_instance(base + [("dup", t, c)]))
+        assert grown[: len(table)] == table
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_values_never_increase(self, pareto, records, data):
+        table = pareto(build_instance(data.draw(records)))
+        values = [v for _, v in table]
+        known = values[values.count(None):]
+        assert None not in known and known == sorted(known, reverse=True)
