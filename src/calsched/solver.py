@@ -22,17 +22,30 @@ that one pass: :meth:`SearchGraph.solve` reconstructs the best schedule
 under any budget up to the graph's, and :func:`pareto_front` returns the
 whole trade-off table together with that per-budget solve, so a sweep
 with plots builds one graph and reconstructs once per distinct optimum.
-The dense per-layer arrays are numpy ``int64``; the magnitude bound that
-:class:`~calsched.core.Instance` enforces keeps every real distance far
-below the ``INF`` sentinel.  Node and arc enumeration is also provided so
-small graphs can be audited against a reference shortest-path search.
+
+The pass is dense numpy ``int64`` work, shaped three ways:
+
+* shifted frame: each grid holds distance minus the last temperature of
+  the open block, so a layer is one add of a fixed per-cell weight to the
+  previous layer's grid of the other color and one in-place running
+  minimum, and every reader adds the temperature back;
+* on demand: layers are priced one at a time, and a capped solve or the
+  trade-off table stops once the running best equals the temperature
+  span, which no schedule can beat;
+* band: a node on layer ``l`` has at least ``ceil((l+1)/2)`` jobs of its
+  open color and ``floor((l+1)/2)`` of the other behind it, so only the
+  cells past that corner are relaxed and stored, and every other node
+  counts as unreachable (``INF``).
+
+The magnitude bound that :class:`~calsched.core.Instance` enforces keeps
+every real distance far below the ``INF`` sentinel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -48,9 +61,6 @@ from .core import (
     temperature_span,
     total_temperature_change,
 )
-
-Node = tuple
-Arc = tuple[Node, Node, int]
 
 
 @dataclass(frozen=True)
@@ -69,7 +79,8 @@ class SearchGraph:
     """Layered search graph for a two-color instance.
 
     ``max_changes`` is the clamped color-change budget (at least 1); the
-    graph has ``max_changes - 1`` grid layers plus entry and exit gadgets.
+    graph has ``max_changes - 1`` grid layers plus entry and exit gadgets,
+    priced as far as the queries so far have needed.
     """
 
     instance: Instance
@@ -95,118 +106,155 @@ class SearchGraph:
 
     # -- dense distance computation ------------------------------------
 
-    def _temps(self) -> tuple[np.ndarray, np.ndarray]:
-        t0 = np.array([j.temperature for j in self.jobs0], dtype=np.int64)
-        t1 = np.array([j.temperature for j in self.jobs1], dtype=np.int64)
-        return t0, t1
-
     def _distances(self) -> dict:
-        """Run the layered relaxation once and cache every distance array."""
+        """Per-graph constants and the distances priced so far.
+
+        Grid distances are stored in the shifted frame: a color-0 grid holds
+        distance minus ``t0[i]``, a color-1 grid distance minus ``t1[j]``
+        (the last temperature of the open block).  Extending the open block
+        then costs nothing, so a layer is the previous layer's grid of the
+        other color plus a fixed weight per cell, followed by one running
+        minimum along the open block's color.  The weight of a color change
+        is the junction cost minus the temperature difference between the
+        old and new block ends: ``2 * max(t1[j] - t0[i], 0)`` into a
+        color-0 block, ``2 * max(t0[i] - t1[j], 0)`` into a color-1 block.
+
+        Layer ``l`` stores only its band (see :func:`_band`).  ``tau[k]``
+        is the optimum with exactly ``k`` changes for every ``k`` priced so
+        far (index 0 unused), and ``best[k]`` the best ``(value, changes)``
+        with at most ``k`` changes; the number of layers priced is
+        ``len(tau) - 2``.
+        """
         if self._dp:
             return self._dp
-        t0, t1 = self._temps()
-        n0, n1, cap = self.n0, self.n1, self.max_changes
+        t0 = np.array([j.temperature for j in self.jobs0], dtype=np.int64)
+        t1 = np.array([j.temperature for j in self.jobs1], dtype=np.int64)
         entry0 = t0 - t0[0]
         entry1 = t1 - t1[0]
-        cross = np.abs(t0[:, None] - t1[None, :])
-
-        def sweep_rows(grid: np.ndarray) -> np.ndarray:
-            shifted = grid - t0[:, None]
-            np.minimum.accumulate(shifted, axis=0, out=shifted)
-            return shifted + t0[:, None]
-
-        def sweep_cols(grid: np.ndarray) -> np.ndarray:
-            shifted = grid - t1[None, :]
-            np.minimum.accumulate(shifted, axis=1, out=shifted)
-            return shifted + t1[None, :]
-
-        grids0: list[np.ndarray] = []  # index l-1 holds layer l
-        grids1: list[np.ndarray] = []
-        for layer in range(1, cap):
-            g0 = np.full((n0, n1), INF, dtype=np.int64)
-            g1 = np.full((n0, n1), INF, dtype=np.int64)
-            if layer == 1:
-                g1[:, 0] = entry0 + np.minimum(
-                    np.abs(t1[0] - t0), np.abs(t1[0] - t0[0])
-                )
-                g0[0, :] = entry1 + np.minimum(
-                    np.abs(t0[0] - t1), np.abs(t0[0] - t1[0])
-                )
-            else:
-                g0[1:, :] = grids1[-1][:-1, :] + cross[1:, :]
-                g1[:, 1:] = grids0[-1][:, :-1] + cross[:, 1:]
-            grids0.append(sweep_rows(g0))
-            grids1.append(sweep_cols(g1))
-
-        # Per-change-count target distances; index k, valid for k >= 1.
-        tau = np.full(cap + 1, INF, dtype=np.int64)
+        gap = t1[None, :] - t0[:, None]
         borders = (
             min(abs(int(a) - int(b)) for a in (t0[0], t0[-1]) for b in (t1[0], t1[-1]))
         )
-        tau[1] = min(
+        tau1 = min(
             int(entry0[-1]) + borders + int(t1[-1] - t1[0]),
             int(entry1[-1]) + borders + int(t0[-1] - t0[0]),
         )
-        exits0: list[np.ndarray | None] = []  # final color-0 block per layer
-        exits1: list[np.ndarray | None] = []
-        for layer in range(1, cap):
-            best = INF
-            cand0 = cand1 = None
-            if n0 >= 2:
-                cand0 = (
-                    grids1[layer - 1][: n0 - 1, n1 - 1]
-                    + np.minimum(np.abs(t0[1:] - t1[-1]), abs(int(t0[-1] - t1[-1])))
-                    + (t0[-1] - t0[1:])
-                )
-                best = min(best, int(cand0.min()))
-            if n1 >= 2:
-                cand1 = (
-                    grids0[layer - 1][n0 - 1, : n1 - 1]
-                    + np.minimum(np.abs(t1[1:] - t0[-1]), abs(int(t1[-1] - t0[-1])))
-                    + (t1[-1] - t1[1:])
-                )
-                best = min(best, int(cand1.min()))
-            exits0.append(cand0)
-            exits1.append(cand1)
-            tau[layer + 1] = best
-
         self._dp.update(
             t0=t0,
             t1=t1,
             entry0=entry0,
             entry1=entry1,
-            cross=cross,
-            grids0=grids0,
-            grids1=grids1,
-            exits0=exits0,
-            exits1=exits1,
-            tau=tau,
+            into0=2 * np.maximum(gap, 0),
+            into1=2 * np.maximum(-gap, 0),
+            # Entry a (b): what a final block of color 0's jobs a+1.. (color
+            # 1's jobs b+1..) adds to the shifted distance of the grid cell
+            # at the other color's last job.
+            exit0=t1[-1] + np.minimum(np.abs(t0[1:] - t1[-1]), abs(int(t0[-1] - t1[-1])))
+            + (t0[-1] - t0[1:]),
+            exit1=t0[-1] + np.minimum(np.abs(t1[1:] - t0[-1]), abs(int(t1[-1] - t0[-1])))
+            + (t1[-1] - t1[1:]),
+            span=temperature_span(self.instance.jobs),
+            grids0=[],  # index l-1 holds layer l's band
+            grids1=[],
+            tau=[INF, tau1],
+            best=[(INF, 0), (tau1, 1)],
         )
         return self._dp
 
-    def layer_target_distances(self) -> list[int | None]:
-        """Optimal total change for exactly k changes, k = 1..max_changes.
+    def _price_layer(self) -> None:
+        """Relax the next grid layer and price the change count its exits reach."""
+        dp = self._dp
+        grids0, grids1 = dp["grids0"], dp["grids1"]
+        layer = len(grids0) + 1
+        t0, t1 = dp["t0"], dp["t1"]
+        if layer == 1:
+            # One entry block per color; every cell of a row (column) shares it.
+            row = dp["entry1"] + np.minimum(np.abs(t0[0] - t1), abs(int(t0[0] - t1[0]))) - t0[0]
+            col = dp["entry0"] + np.minimum(np.abs(t1[0] - t0), abs(int(t1[0] - t0[0]))) - t1[0]
+            h0 = np.broadcast_to(row[None, :], (self.n0, self.n1))
+            h1 = np.broadcast_to(col[:, None], (self.n0, self.n1))
+        else:
+            i0, j0 = _band(layer, 0)
+            i1, j1 = _band(layer, 1)
+            h0 = np.add(grids1[-1][:-1, :], dp["into0"][i0:, j0:])
+            np.minimum.accumulate(h0, axis=0, out=h0)
+            h1 = np.add(grids0[-1][:, :-1], dp["into1"][i1:, j1:])
+            np.minimum.accumulate(h1, axis=1, out=h1)
+        grids0.append(h0)
+        grids1.append(h1)
+        exits0, exits1 = self._exits(layer)
+        value = int(min(exits0.min(initial=INF), exits1.min(initial=INF)))
+        dp["tau"].append(value)
+        best = dp["best"]
+        best.append((value, layer + 1) if value < best[-1][0] else best[-1])
+
+    def _exits(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Distance through each final block after ``layer``'s grids.
+
+        Entry ``a`` of the first array ends with color 0's jobs ``a+1 ..``
+        after color 1's last job, entry ``b`` of the second with color 1's
+        jobs ``b+1 ..``; entries whose grid cell lies outside the band are
+        ``INF``.
+        """
+        dp = self._dp
+        h0, h1 = dp["grids0"][layer - 1], dp["grids1"][layer - 1]
+        exits0 = np.full(self.n0 - 1, INF, dtype=np.int64)
+        lo = _band(layer, 1)[0]
+        exits0[lo:] = h1[: self.n0 - 1 - lo, -1] + dp["exit0"][lo:]
+        exits1 = np.full(self.n1 - 1, INF, dtype=np.int64)
+        lo = _band(layer, 0)[1]
+        exits1[lo:] = h0[-1, : self.n1 - 1 - lo] + dp["exit1"][lo:]
+        return exits0, exits1
+
+    def _price_through(self, changes: int) -> dict:
+        """Price every layer up to the one whose exits reach ``changes``."""
+        dp = self._distances()
+        while len(dp["tau"]) <= changes:
+            self._price_layer()
+        return dp
+
+    def _line(self, layer: int, color: int, along: int, k: int) -> tuple[int, np.ndarray]:
+        """Shifted distances on ``layer``'s ``color`` grid as the job of
+        color ``along`` varies and the other color stays at job ``k``, and
+        the job index of the first entry.
+
+        Jobs before that index lie outside the band; ``k`` must lie
+        inside it.
+        """
+        lo_i, lo_j = _band(layer, color)
+        grid = self._dp["grids0" if color == 0 else "grids1"][layer - 1]
+        if along == 0:
+            return lo_i, grid[:, k - lo_j]
+        return lo_j, grid[k - lo_i, :]
+
+    def layer_target_distances(self, max_changes: int | None = None) -> list[int | None]:
+        """Optimal total change for exactly k changes, k = 1..``max_changes``
+        (default and upper limit: the graph's budget).
 
         Entry k of the returned list (index k-1) is ``None`` when no
-        canonical schedule uses exactly k changes.
+        canonical schedule uses exactly k changes.  Prices every layer the
+        range needs.
         """
-        tau = self._distances()["tau"]
-        return [None if tau[k] >= INF else int(tau[k]) for k in range(1, self.max_changes + 1)]
+        cap = self.max_changes if max_changes is None else min(max_changes, self.max_changes)
+        tau = self._price_through(cap)["tau"]
+        return [None if tau[k] >= INF else tau[k] for k in range(1, cap + 1)]
 
     def best_under_cap(self, cap: int) -> tuple[int, int]:
         """Minimum total change with at most ``cap`` changes, and the
-        smallest change count attaining it."""
+        smallest change count attaining it.
+
+        Layers are priced on demand and only until the running best
+        reaches the temperature span, a lower bound for every schedule.
+        """
         cap = min(cap, self.max_changes)
-        tau = self._distances()["tau"]
-        best = INF
-        best_k = 0
-        for k in range(1, cap + 1):
-            if tau[k] < best:
-                best = int(tau[k])
-                best_k = k
-        if best >= INF:
+        dp = self._distances()
+        best = dp["best"]
+        while len(best) <= cap and best[-1][0] > dp["span"]:
+            self._price_layer()
+        value, changes = best[min(cap, len(best) - 1)]
+        if value >= INF:
             raise AssertionError("no feasible target reached")
-        return best, best_k
+        return value, changes
 
     def solve(self, budget: int) -> SolveResult:
         """Best schedule with at most ``budget`` changes (at least 1).
@@ -237,9 +285,8 @@ class SearchGraph:
         (layer, color, i, j) node, and block orientations break ties
         toward increasing order, so outputs are deterministic.
         """
-        dp = self._distances()
-        tau = dp["tau"]
-        target = int(tau[changes])
+        dp = self._price_through(changes)
+        target = dp["tau"][changes]
         if target >= INF:
             raise AssertionError(f"target for {changes} changes unreachable")
         if changes == 1:
@@ -249,15 +296,13 @@ class SearchGraph:
         layer = changes - 1
         runs_rev: list[tuple[int, int, int]] = []  # (color, lo, hi) 0-based
         cursor: tuple[int, int, int, int] | None = None
-        exits0 = dp["exits0"][layer - 1]
-        exits1 = dp["exits1"][layer - 1]
-        if exits0 is not None:
-            for a in range(n0 - 1):
-                if int(exits0[a]) == target:
-                    runs_rev.append((0, a + 1, n0 - 1))
-                    cursor = (layer, 1, a, n1 - 1)
-                    break
-        if cursor is None and exits1 is not None:
+        exits0, exits1 = self._exits(layer)
+        for a in range(n0 - 1):
+            if int(exits0[a]) == target:
+                runs_rev.append((0, a + 1, n0 - 1))
+                cursor = (layer, 1, a, n1 - 1)
+                break
+        if cursor is None:
             for b in range(n1 - 1):
                 if int(exits1[b]) == target:
                     runs_rev.append((1, b + 1, n1 - 1))
@@ -266,46 +311,54 @@ class SearchGraph:
         if cursor is None:
             raise AssertionError("no exit matches the target distance")
 
-        grids0, grids1 = dp["grids0"], dp["grids1"]
-        entry0, entry1, cross = dp["entry0"], dp["entry1"], dp["cross"]
+        # Shifted distances: a move within the open block keeps the value,
+        # a color change adds the ``into`` weight of the new block's cell.
+        entry0, entry1 = dp["entry0"], dp["entry1"]
+        into0, into1 = dp["into0"], dp["into1"]
         first_run: tuple[int, int, int] | None = None
         while first_run is None:
             layer, color, a, b = cursor
             if color == 0:
                 run_hi = a
+                lo, line = self._line(layer, 0, 0, b)
+                d = int(line[a - lo])
+                if layer >= 2:
+                    lo_prev, prev = self._line(layer - 1, 1, 0, b)
                 while True:
-                    d = int(grids0[layer - 1][a, b])
                     if layer == 1 and a == 0:
                         w = min(abs(int(t0[0] - t1[b])), abs(int(t0[0] - t1[0])))
-                        if int(entry1[b]) + w == d:
+                        if int(entry1[b]) + w == d + int(t0[0]):
                             runs_rev.append((0, 0, run_hi))
                             first_run = (1, 0, b)
                             break
-                    if layer >= 2 and a >= 1:
-                        if int(grids1[layer - 2][a - 1, b]) + int(cross[a, b]) == d:
+                    if layer >= 2 and a - 1 >= lo_prev:
+                        if int(prev[a - 1 - lo_prev]) + int(into0[a, b]) == d:
                             runs_rev.append((0, a, run_hi))
                             cursor = (layer - 1, 1, a - 1, b)
                             break
-                    if a >= 1 and int(grids0[layer - 1][a - 1, b]) + int(t0[a] - t0[a - 1]) == d:
+                    if a - 1 >= lo and int(line[a - 1 - lo]) == d:
                         a -= 1
                         continue
                     raise AssertionError("backtrack mismatch on color-0 grid")
             else:
                 run_hi = b
+                lo, line = self._line(layer, 1, 1, a)
+                d = int(line[b - lo])
+                if layer >= 2:
+                    lo_prev, prev = self._line(layer - 1, 0, 1, a)
                 while True:
-                    d = int(grids1[layer - 1][a, b])
                     if layer == 1 and b == 0:
                         w = min(abs(int(t1[0] - t0[a])), abs(int(t1[0] - t0[0])))
-                        if int(entry0[a]) + w == d:
+                        if int(entry0[a]) + w == d + int(t1[0]):
                             runs_rev.append((1, 0, run_hi))
                             first_run = (0, 0, a)
                             break
-                    if layer >= 2 and b >= 1:
-                        if int(grids0[layer - 2][a, b - 1]) + int(cross[a, b]) == d:
+                    if layer >= 2 and b - 1 >= lo_prev:
+                        if int(prev[b - 1 - lo_prev]) + int(into1[a, b]) == d:
                             runs_rev.append((1, b, run_hi))
                             cursor = (layer - 1, 0, a, b - 1)
                             break
-                    if b >= 1 and int(grids1[layer - 1][a, b - 1]) + int(t1[b] - t1[b - 1]) == d:
+                    if b - 1 >= lo and int(line[b - 1 - lo]) == d:
                         b -= 1
                         continue
                     raise AssertionError("backtrack mismatch on color-1 grid")
@@ -351,111 +404,18 @@ class SearchGraph:
                         return seq
         raise AssertionError("no two-block layout matches the target distance")
 
-    # -- explicit graph view ---------------------------------------------
 
-    @property
-    def node_count(self) -> int:
-        n0, n1, cap = self.n0, self.n1, self.max_changes
-        return (
-            2
-            + (n0 + n1)
-            + (cap - 1) * 2 * n0 * n1
-            + cap * (n0 + n1)
-            + cap
-        )
+def _band(layer: int, color: int) -> tuple[int, int]:
+    """Smallest ``(i, j)`` of a reachable node on ``layer``'s ``color`` grid.
 
-    @property
-    def arc_count(self) -> int:
-        n0, n1, cap = self.n0, self.n1, self.max_changes
-        within = (n0 - 1) * n1 + n0 * (n1 - 1)
-        return (
-            2
-            + (n0 - 1)
-            + (n1 - 1)
-            + (n0 + n1 if cap > 1 else 0)
-            + 2
-            + (cap - 1) * within
-            + max(cap - 2, 0) * within
-            + (cap - 1) * ((n0 - 1) + (n1 - 1))
-            + cap * ((n0 - 1) + (n1 - 1))
-            + 2 * cap
-            + cap
-        )
-
-    def iter_nodes(self) -> Iterator[Node]:
-        n = {0: self.n0, 1: self.n1}
-        yield ("source",)
-        for color in (0, 1):
-            for i in range(1, n[color] + 1):
-                yield ("entry", color, i)
-        for layer in range(1, self.max_changes):
-            for color in (0, 1):
-                for i in range(1, self.n0 + 1):
-                    for j in range(1, self.n1 + 1):
-                        yield ("grid", layer, color, i, j)
-        for layer in range(self.max_changes):
-            for color in (0, 1):
-                for i in range(1, n[color] + 1):
-                    yield ("exit", layer, color, i)
-        for k in range(1, self.max_changes + 1):
-            yield ("ltarget", k)
-        yield ("target",)
-
-    def iter_arcs(self) -> Iterator[Arc]:
-        """Enumerate every arc with its weight (1-based job indices)."""
-        t = {
-            0: [j.temperature for j in self.jobs0],
-            1: [j.temperature for j in self.jobs1],
-        }
-        n = {0: self.n0, 1: self.n1}
-        cap = self.max_changes
-        for color in (0, 1):
-            yield ("source",), ("entry", color, 1), 0
-            for i in range(1, n[color]):
-                gap = t[color][i] - t[color][i - 1]
-                yield ("entry", color, i), ("entry", color, i + 1), gap
-        if cap > 1:  # entry chains feed the first grid layer
-            for i in range(1, n[0] + 1):
-                w = min(abs(t[1][0] - t[0][i - 1]), abs(t[1][0] - t[0][0]))
-                yield ("entry", 0, i), ("grid", 1, 1, i, 1), w
-            for j in range(1, n[1] + 1):
-                w = min(abs(t[0][0] - t[1][j - 1]), abs(t[0][0] - t[1][0]))
-                yield ("entry", 1, j), ("grid", 1, 0, 1, j), w
-        borders = min(
-            abs(a - b) for a in (t[0][0], t[0][-1]) for b in (t[1][0], t[1][-1])
-        )
-        yield ("entry", 0, n[0]), ("exit", 0, 1, 1), borders
-        yield ("entry", 1, n[1]), ("exit", 0, 0, 1), borders
-        for layer in range(1, cap):
-            for i in range(1, n[0] + 1):
-                for j in range(1, n[1] + 1):
-                    if i < n[0]:
-                        gap = t[0][i] - t[0][i - 1]
-                        yield ("grid", layer, 0, i, j), ("grid", layer, 0, i + 1, j), gap
-                    if j < n[1]:
-                        gap = t[1][j] - t[1][j - 1]
-                        yield ("grid", layer, 1, i, j), ("grid", layer, 1, i, j + 1), gap
-                    if layer < cap - 1:
-                        if j < n[1]:
-                            w = abs(t[1][j] - t[0][i - 1])
-                            yield ("grid", layer, 0, i, j), ("grid", layer + 1, 1, i, j + 1), w
-                        if i < n[0]:
-                            w = abs(t[0][i] - t[1][j - 1])
-                            yield ("grid", layer, 1, i, j), ("grid", layer + 1, 0, i + 1, j), w
-            for j in range(1, n[1]):
-                w = min(abs(t[1][j] - t[0][-1]), abs(t[1][-1] - t[0][-1]))
-                yield ("grid", layer, 0, n[0], j), ("exit", layer, 1, j + 1), w
-            for i in range(1, n[0]):
-                w = min(abs(t[0][i] - t[1][-1]), abs(t[0][-1] - t[1][-1]))
-                yield ("grid", layer, 1, i, n[1]), ("exit", layer, 0, i + 1), w
-        for layer in range(cap):
-            for color in (0, 1):
-                for i in range(1, n[color]):
-                    gap = t[color][i] - t[color][i - 1]
-                    yield ("exit", layer, color, i), ("exit", layer, color, i + 1), gap
-                yield ("exit", layer, color, n[color]), ("ltarget", layer + 1), 0
-        for k in range(1, cap + 1):
-            yield ("ltarget", k), ("target",), 0
+    Such a node closes ``layer + 1`` alternating blocks ending in
+    ``color``, so that color has used at least ``ceil((layer + 1) / 2)``
+    jobs and the other at least ``floor((layer + 1) / 2)``; no other node
+    of the grid has a finite distance, and only the band from this corner
+    is relaxed and stored.
+    """
+    own, other = (layer + 2) // 2 - 1, (layer + 1) // 2 - 1
+    return (own, other) if color == 0 else (other, own)
 
 
 def build_search_graph(instance: Instance, max_color_changes: int) -> SearchGraph:
@@ -511,7 +471,10 @@ def pareto_front(
         table = pareto_table(instance, [temperature_span(instance.jobs)])
         return table, partial(shortest_schedule, instance)
     graph = build_search_graph(instance, max_merged_color_changes(instance))
-    return pareto_table(instance, [None, *graph.layer_target_distances()]), graph.solve
+    # No change count past the first that attains the overall optimum can
+    # lower the running best, so the table needs exact values only up to it.
+    _, changes = graph.best_under_cap(graph.max_changes)
+    return pareto_table(instance, [None, *graph.layer_target_distances(changes)]), graph.solve
 
 
 def pareto_sweep(instance: Instance) -> list[tuple[int, int | None]]:

@@ -200,6 +200,23 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["T"] == "7"
 
+    def test_three_color_oracle_check_builds_one_table(self, tmp_path, capsys, monkeypatch):
+        rows = [f"j{i},{t},{c}" for i, (t, c) in enumerate(TEN_JOB_THREE_COLOR[:8])]
+        path = tmp_path / "three.csv"
+        path.write_text("\n".join(rows), encoding="utf-8")
+        builds = []
+        real_table = oracle._subset_dp_table
+        monkeypatch.setattr(
+            oracle, "_subset_dp_table", lambda *a: builds.append(a) or real_table(*a)
+        )
+        argv = ["solve", "--input", str(path), "--max-color-changes", "3"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        builds.clear()
+        assert main([*argv, "--oracle-check"]) == 0
+        assert len(builds) == 1
+        assert capsys.readouterr().out == plain
+
     def test_solve_three_colors_too_large_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "5")
         rows = [f"j{i},{t},{c}" for i, (t, c) in enumerate(TEN_JOB_THREE_COLOR)]

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calsched import (
     ValidationError,
@@ -18,8 +19,19 @@ from calsched import (
     temperature_span,
     total_temperature_change,
 )
-from calsched.core import MAGNITUDE_LIMIT
-from conftest import make_two_color, three_color_instance, two_color_instances
+from calsched.core import MAGNITUDE_LIMIT, max_merged_color_changes, pareto_table
+from calsched.solver import _band, pareto_front
+from conftest import job_records, make_two_color, three_color_instance, two_color_instances
+from graph_view import arc_count, iter_arcs, iter_nodes, node_count
+
+
+@st.composite
+def lopsided_records(draw, max_jobs=9, max_temp=9):
+    """One job of one color and 1..max_jobs of the other (1+1 and 1+n
+    shapes); equal temperatures of the larger color merge."""
+    lone = draw(st.integers(0, 1))
+    temps = draw(st.lists(st.integers(0, max_temp), min_size=2, max_size=max_jobs + 1))
+    return [(f"j{i}", t, lone if i == 0 else 1 - lone) for i, t in enumerate(temps)]
 
 
 def dijkstra(arcs, source):
@@ -45,10 +57,10 @@ class TestGraphStructure:
     def test_node_and_arc_counts_match_enumeration(self):
         inst = make_two_color([1, 4], [2, 3])
         graph = build_search_graph(inst, 2)
-        nodes = list(graph.iter_nodes())
-        arcs = list(graph.iter_arcs())
-        assert len(nodes) == len(set(nodes)) == graph.node_count == 24
-        assert len(arcs) == graph.arc_count == 26
+        nodes = list(iter_nodes(graph))
+        arcs = list(iter_arcs(graph))
+        assert len(nodes) == len(set(nodes)) == node_count(graph) == 24
+        assert len(arcs) == arc_count(graph) == 26
         node_set = set(nodes)
         for u, v, w in arcs:
             assert u in node_set and v in node_set
@@ -62,8 +74,8 @@ class TestGraphStructure:
             [10 * i + 1 for i in range(n0)], [10 * i + 5 for i in range(n1)]
         )
         graph = build_search_graph(inst, cap)
-        assert len(list(graph.iter_nodes())) == graph.node_count
-        assert len(list(graph.iter_arcs())) == graph.arc_count
+        assert len(list(iter_nodes(graph))) == node_count(graph)
+        assert len(list(iter_arcs(graph))) == arc_count(graph)
 
     def test_budget_is_clamped_before_layers(self):
         inst = make_two_color([1, 4], [2, 3])
@@ -73,9 +85,9 @@ class TestGraphStructure:
     def test_graph_is_acyclic(self):
         inst = make_two_color([1, 4, 6], [2, 3])
         graph = build_search_graph(inst, 4)
-        indegree = {node: 0 for node in graph.iter_nodes()}
+        indegree = {node: 0 for node in iter_nodes(graph)}
         successors = {node: [] for node in indegree}
-        for u, v, _ in graph.iter_arcs():
+        for u, v, _ in iter_arcs(graph):
             successors[u].append(v)
             indegree[v] += 1
         ready = [n for n, d in indegree.items() if d == 0]
@@ -87,7 +99,7 @@ class TestGraphStructure:
                 indegree[nxt] -= 1
                 if indegree[nxt] == 0:
                     ready.append(nxt)
-        assert seen == graph.node_count
+        assert seen == node_count(graph)
 
     def test_preconditions_enforced(self):
         with pytest.raises(ValidationError):
@@ -98,17 +110,24 @@ class TestGraphStructure:
             build_search_graph(make_two_color([1], [2]), 0)
         assert build_search_graph(make_two_color([1], [2]), 4).max_changes == 1
 
-    @given(two_color_instances(max_jobs=7, max_temp=25))
+    @given(two_color_instances(max_jobs=10, max_temp=25))
     @settings(max_examples=30, deadline=None)
     def test_layer_targets_match_reference_search(self, instance):
         cap = max_feasible_color_changes(instance)
         graph = build_search_graph(instance, cap)
-        dist = dijkstra(list(graph.iter_arcs()), ("source",))
+        dist = dijkstra(list(iter_arcs(graph)), ("source",))
         for k, value in enumerate(graph.layer_target_distances(), start=1):
             reference = dist.get(("ltarget", k))
             assert value == reference
         best = min(v for v in graph.layer_target_distances() if v is not None)
         assert dist[("target",)] == best
+        # The distance pass relaxes and stores only the band of each grid,
+        # so no node outside it may be reachable.
+        for node in dist:
+            if node[0] == "grid":
+                _, layer, color, i, j = node
+                lo_i, lo_j = _band(layer, color)
+                assert i - 1 >= lo_i and j - 1 >= lo_j, node
 
 
 class TestShortestSchedule:
@@ -163,6 +182,17 @@ class TestShortestSchedule:
             result = shortest_schedule(inst, cap)
             assert result.total_change == brute_force_optimal(inst, cap).optimal_total_change
         assert pareto_sweep(inst)[-1] == (4, top)
+
+    def test_ties_go_to_fewest_changes(self):
+        # Exactly 2 and exactly 3 changes both cost 9; span 7 needs 4.
+        inst = build_instance(
+            [("w0", 4, 0), ("w1", 6, 0), ("w2", 4, 0),
+             ("b0", 4, 1), ("b1", 8, 1), ("b2", 5, 1), ("b3", 1, 1)]
+        )
+        graph = build_search_graph(inst, 4)
+        assert graph.layer_target_distances() == [11000, 9000, 9000, 7000]
+        assert graph.best_under_cap(3) == (9000, 2)
+        assert shortest_schedule(inst, 3).changes == 2
 
     def test_three_colors_rejected(self):
         with pytest.raises(ValidationError):
@@ -247,6 +277,26 @@ class TestParetoSweep:
         assert all(x >= y for x, y in zip(values, values[1:]))
         for cap, value in table[1:]:
             assert shortest_schedule(instance, cap).total_change == value
+
+    @given(
+        st.one_of(
+            job_records(min_colors=2, max_colors=2, max_jobs=12, max_temp=9),
+            lopsided_records(),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_front_stops_early_without_changing_answers(self, records):
+        # The front prices layers only until the curve saturates; a graph
+        # priced in full, and a fresh solve per budget, must agree with it.
+        instance = build_instance(records)
+        table, solve = pareto_front(instance)
+        full = build_search_graph(instance, max_merged_color_changes(instance))
+        assert table == pareto_table(instance, [None, *full.layer_target_distances()])
+        for k, value in table[1:]:
+            result = solve(k)
+            assert result == shortest_schedule(instance, k)
+            # Ties go to the fewest changes: the first budget reaching the value.
+            assert result.changes == next(j for j, v in table if v == value)
 
     def test_agrees_with_oracle_table_under_duplicates(self):
         from calsched import enumerate_pareto
