@@ -110,18 +110,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if len(instance.colors) > 2:
         table, oracle_solve = oracle_front(instance)
 
-        def solve(k: int) -> SolveResult:
-            return _solve_multicolor(oracle_solve(k))
+        def solve(budgets: list[int]) -> list[SolveResult]:
+            return [_solve_multicolor(oracle_solve(k)) for k in budgets]
     else:
         table, solve = pareto_front(instance)
     # The top budget is always feasible; every table ends at its optimum.
-    result = solve(table[-1][0])
-    if args.emit_plot_dir:
+    plotted = [k for k, value in table if value is not None] if args.emit_plot_dir else []
+    result, *plot_results = solve([table[-1][0], *plotted])
+    if plotted:
         out_dir = Path(args.emit_plot_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for k, value in table:
-            if value is not None:
-                _write_plot(solve(k).schedule, str(out_dir / f"pareto_k{k}.tsv"))
+        # Flat stretches of the curve share a schedule; format it once.
+        texts: dict[tuple[str, ...], str] = {}
+        for k, plot_result in zip(plotted, plot_results):
+            schedule = plot_result.schedule
+            if schedule.order not in texts:
+                texts[schedule.order] = plot_tsv(emit_plot(schedule))
+            (out_dir / f"pareto_k{k}.tsv").write_text(texts[schedule.order], encoding="utf-8")
     print(json.dumps(_result_document(result, pareto=table), indent=2))
     return EXIT_OK
 

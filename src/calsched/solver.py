@@ -18,12 +18,13 @@ The search graph encodes exactly those schedules:
 All weights are nonnegative scaled-integer temperature gaps, the graph is
 acyclic, and one pass of relaxations in layer order yields the distances
 of every per-change-count target.  Every two-color answer is read from
-that one pass: :meth:`SearchGraph.solve` reconstructs the best schedule
-under any budget up to the graph's, and :func:`pareto_front` returns the
-whole trade-off table together with that per-budget solve, so a sweep
-with plots builds one graph and reconstructs once per distinct optimum.
+that one pass: :meth:`SearchGraph.solve_many` reconstructs the best
+schedules under any budgets up to the graph's, and :func:`pareto_front`
+returns the whole trade-off table together with that batch solve, so a
+sweep with plots builds one graph and rebuilds every distinct optimum in
+one reconstruction pass.
 
-The pass is dense numpy ``int64`` work, shaped three ways:
+The pass is dense numpy ``int64`` work, shaped four ways:
 
 * shifted frame: each grid holds distance minus the last temperature of
   the open block, so a layer is one add of a fixed per-cell weight to the
@@ -35,7 +36,14 @@ The pass is dense numpy ``int64`` work, shaped three ways:
 * band: a node on layer ``l`` has at least ``ceil((l+1)/2)`` jobs of its
   open color and ``floor((l+1)/2)`` of the other behind it, so only the
   cells past that corner are relaxed and stored, and every other node
-  counts as unreachable (``INF``).
+  counts as unreachable (``INF``);
+* rolling with checkpoints: of ``K`` grid layers only layer 1 and every
+  ``ceil(sqrt(K))``-th one are kept; the others are relaxed into two
+  reused buffer pairs.  Reconstruction walks every requested optimum down
+  the layers in lock-step and relaxes each segment between two kept
+  layers again at most once per call, only up to the farthest cell a
+  walk stands on, so about ``2 * sqrt(K)`` layers are stored at once
+  instead of ``K``.
 
 The magnitude bound that :class:`~calsched.core.Instance` enforces keeps
 every real distance far below the ``INF`` sentinel.
@@ -43,9 +51,9 @@ every real distance far below the ``INF`` sentinel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
+from typing import Callable, Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -72,6 +80,17 @@ class SolveResult:
     total_change: int | None
     changes: int | None
     feasible: bool
+
+
+@dataclass
+class _Walk:
+    """One schedule's reconstruction, block by block down the layers."""
+
+    layer: int  # the cursor's layer; a walk starts on its top layer
+    target: int
+    runs_rev: list[tuple[int, int, int]] = field(default_factory=list)  # (color, lo, hi)
+    cursor: tuple[int, int, int] | None = None  # (color, i, j) on ``layer``
+    first_run: tuple[int, int, int] | None = None  # set once the walk is done
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,7 +126,7 @@ class SearchGraph:
     # -- dense distance computation ------------------------------------
 
     def _distances(self) -> dict:
-        """Per-graph constants and the distances priced so far.
+        """Per-graph constants and the state of the distance pass.
 
         Grid distances are stored in the shifted frame: a color-0 grid holds
         distance minus ``t0[i]``, a color-1 grid distance minus ``t1[j]``
@@ -119,9 +138,11 @@ class SearchGraph:
         old and new block ends: ``2 * max(t1[j] - t0[i], 0)`` into a
         color-0 block, ``2 * max(t0[i] - t1[j], 0)`` into a color-1 block.
 
-        Layer ``l`` stores only its band (see :func:`_band`).  ``tau[k]``
-        is the optimum with exactly ``k`` changes for every ``k`` priced so
-        far (index 0 unused), and ``best[k]`` the best ``(value, changes)``
+        Layer ``l`` stores only its band (see :func:`_band`).  ``kept``
+        maps layer 1 and every ``stride``-th layer to its pair of grids;
+        ``last`` is the pair of the newest layer priced.  ``tau[k]`` is the
+        optimum with exactly ``k`` changes for every ``k`` priced so far
+        (index 0 unused), and ``best[k]`` the best ``(value, changes)``
         with at most ``k`` changes; the number of layers priced is
         ``len(tau) - 2``.
         """
@@ -154,42 +175,81 @@ class SearchGraph:
             exit1=t0[-1] + np.minimum(np.abs(t1[1:] - t0[-1]), abs(int(t1[-1] - t0[-1])))
             + (t1[-1] - t1[1:]),
             span=temperature_span(self.instance.jobs),
-            grids0=[],  # index l-1 holds layer l's band
-            grids1=[],
+            stride=checkpoint_stride(self.max_changes - 1),
+            kept={},
+            last=None,
+            buffers=None,  # two reused flat pairs for the layers not kept
             tau=[INF, tau1],
             best=[(INF, 0), (tau1, 1)],
         )
         return self._dp
 
     def _price_layer(self) -> None:
-        """Relax the next grid layer and price the change count its exits reach."""
+        """Relax the next grid layer and price the change count its exits reach.
+
+        Layer 1 and every ``stride``-th layer get arrays of their own and
+        are kept; any other layer overwrites the buffer pair that held the
+        layer two below it, which nothing reads any more.
+        """
         dp = self._dp
-        grids0, grids1 = dp["grids0"], dp["grids1"]
-        layer = len(grids0) + 1
-        t0, t1 = dp["t0"], dp["t1"]
+        layer = len(dp["tau"]) - 1
         if layer == 1:
             # One entry block per color; every cell of a row (column) shares it.
+            t0, t1 = dp["t0"], dp["t1"]
             row = dp["entry1"] + np.minimum(np.abs(t0[0] - t1), abs(int(t0[0] - t1[0]))) - t0[0]
             col = dp["entry0"] + np.minimum(np.abs(t1[0] - t0), abs(int(t1[0] - t0[0]))) - t1[0]
-            h0 = np.broadcast_to(row[None, :], (self.n0, self.n1))
-            h1 = np.broadcast_to(col[:, None], (self.n0, self.n1))
+            grids = dp["kept"][1] = (
+                np.broadcast_to(row[None, :], (self.n0, self.n1)),
+                np.broadcast_to(col[:, None], (self.n0, self.n1)),
+            )
+        elif layer % dp["stride"] == 0:
+            grids = dp["kept"][layer] = self._relax(layer, dp["last"])
         else:
-            i0, j0 = _band(layer, 0)
-            i1, j1 = _band(layer, 1)
-            h0 = np.add(grids1[-1][:-1, :], dp["into0"][i0:, j0:])
-            np.minimum.accumulate(h0, axis=0, out=h0)
-            h1 = np.add(grids0[-1][:, :-1], dp["into1"][i1:, j1:])
-            np.minimum.accumulate(h1, axis=1, out=h1)
-        grids0.append(h0)
-        grids1.append(h1)
-        exits0, exits1 = self._exits(layer)
+            if dp["buffers"] is None:
+                size = self.n0 * self.n1
+                dp["buffers"] = [(np.empty(size, np.int64), np.empty(size, np.int64)) for _ in "ab"]
+            grids = self._relax(layer, dp["last"], out=dp["buffers"][layer % 2])
+        dp["last"] = grids
+        exits0, exits1 = self._exits(layer, grids)
         value = int(min(exits0.min(initial=INF), exits1.min(initial=INF)))
         dp["tau"].append(value)
         best = dp["best"]
         best.append((value, layer + 1) if value < best[-1][0] else best[-1])
 
-    def _exits(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Distance through each final block after ``layer``'s grids.
+    def _relax(
+        self,
+        layer: int,
+        prev: tuple[np.ndarray, np.ndarray],
+        stop: tuple[int, int] | None = None,
+        out: tuple[np.ndarray, np.ndarray] | None = None,
+        colors: Collection[int] = (0, 1),
+    ) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``layer``'s pair of band grids (layer 2 and up) from ``prev``, the
+        pair of the layer below; only the grids of ``colors`` are relaxed,
+        the others are ``None``.
+
+        Only cells ``(i, j)`` with ``i < stop[0]`` and ``j < stop[1]`` are
+        relaxed (default: all).  A cell depends only on cells at or before
+        it in both coordinates, so those hold exactly what a full pass
+        gives, and ``prev`` needs only that rectangle.  ``out`` is a pair of
+        flat buffers to write into instead of new arrays.
+        """
+        rows, cols = stop or (self.n0, self.n1)
+        g0, g1 = prev
+        into0, into1 = self._dp["into0"], self._dp["into1"]
+        i0, j0 = _band(layer, 0)
+        i1, j1 = _band(layer, 1)
+        h0 = h1 = None
+        if 0 in colors:
+            h0 = _add(g1[: rows - i0, : cols - j0], into0[i0:rows, j0:cols], out and out[0])
+            np.minimum.accumulate(h0, axis=0, out=h0)
+        if 1 in colors:
+            h1 = _add(g0[: rows - i1, : cols - j1], into1[i1:rows, j1:cols], out and out[1])
+            np.minimum.accumulate(h1, axis=1, out=h1)
+        return h0, h1
+
+    def _exits(self, layer: int, grids: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Distance through each final block after ``layer``'s full ``grids``.
 
         Entry ``a`` of the first array ends with color 0's jobs ``a+1 ..``
         after color 1's last job, entry ``b`` of the second with color 1's
@@ -197,7 +257,7 @@ class SearchGraph:
         ``INF``.
         """
         dp = self._dp
-        h0, h1 = dp["grids0"][layer - 1], dp["grids1"][layer - 1]
+        h0, h1 = grids
         exits0 = np.full(self.n0 - 1, INF, dtype=np.int64)
         lo = _band(layer, 1)[0]
         exits0[lo:] = h1[: self.n0 - 1 - lo, -1] + dp["exit0"][lo:]
@@ -213,7 +273,10 @@ class SearchGraph:
             self._price_layer()
         return dp
 
-    def _line(self, layer: int, color: int, along: int, k: int) -> tuple[int, np.ndarray]:
+    @staticmethod
+    def _line(
+        grids: tuple[np.ndarray, np.ndarray], layer: int, color: int, along: int, k: int
+    ) -> tuple[int, np.ndarray]:
         """Shifted distances on ``layer``'s ``color`` grid as the job of
         color ``along`` varies and the other color stays at job ``k``, and
         the job index of the first entry.
@@ -222,7 +285,7 @@ class SearchGraph:
         inside it.
         """
         lo_i, lo_j = _band(layer, color)
-        grid = self._dp["grids0" if color == 0 else "grids1"][layer - 1]
+        grid = grids[color]
         if along == 0:
             return lo_i, grid[:, k - lo_j]
         return lo_j, grid[k - lo_i, :]
@@ -256,16 +319,20 @@ class SearchGraph:
             raise AssertionError("no feasible target reached")
         return value, changes
 
-    def solve(self, budget: int) -> SolveResult:
-        """Best schedule with at most ``budget`` changes (at least 1).
+    def solve_many(self, budgets: Iterable[int]) -> list[SolveResult]:
+        """Best schedule with at most ``b`` changes for each budget ``b``
+        (each at least 1), in order.
 
-        Budgets whose optimum uses the same change count share one
-        reconstruction.  The schedule's metrics are recomputed from its
-        job sequence, so the reported value always equals the realized one.
+        Budgets whose optimum uses the same change count share one result,
+        and every new one comes from a single :meth:`reconstruct` call.
+        The schedule's metrics are recomputed from its job sequence, so
+        the reported value always equals the realized one.
         """
-        value, changes = self.best_under_cap(budget)
-        if changes not in self._solved:
-            jobs = self.reconstruct(changes)
+        optima = [self.best_under_cap(budget) for budget in budgets]
+        values = {changes: value for value, changes in optima}
+        new = [changes for changes in values if changes not in self._solved]
+        for changes, jobs in zip(new, self.reconstruct(new) if new else []):
+            value = values[changes]
             realized = total_temperature_change(jobs)
             if realized != value or color_changes(jobs) != changes:
                 raise AssertionError(
@@ -274,97 +341,174 @@ class SearchGraph:
                 )
             schedule = Schedule.from_jobs(self.instance, jobs)
             self._solved[changes] = SolveResult(schedule, value, changes, True)
-        return self._solved[changes]
+        return [self._solved[changes] for _, changes in optima]
+
+    def solve(self, budget: int) -> SolveResult:
+        """Best schedule with at most ``budget`` changes (at least 1)."""
+        return self.solve_many([budget])[0]
 
     # -- schedule reconstruction ----------------------------------------
 
-    def reconstruct(self, changes: int) -> list[Job]:
-        """Rebuild a schedule realizing ``tau[changes]`` from the arrays.
+    def reconstruct(self, changes: Sequence[int]) -> list[list[Job]]:
+        """Rebuild a schedule realizing ``tau[k]`` for each ``k`` in
+        ``changes``, in order.
 
-        Equal-cost predecessors are resolved toward the smallest
-        (layer, color, i, j) node, and block orientations break ties
-        toward increasing order, so outputs are deterministic.
+        The walks descend the layers in lock-step, from the highest one
+        down.  A layer that was not kept is relaxed again from the kept
+        layer below it, at most once per call: over the whole grid when a
+        walk starts in that segment, else only up to the farthest cell any
+        walk stands on, and only along the walks' chains (a color-0 grid
+        reads only the color-1 grid of the layer below and vice versa, so
+        the grids split by the parity of layer + color, and a walk keeps
+        its parity).  Equal-cost predecessors are resolved toward the
+        smallest (layer, color, i, j) node, and block orientations break
+        ties toward increasing order, so outputs are deterministic.
         """
-        dp = self._price_through(changes)
-        target = dp["tau"][changes]
-        if target >= INF:
-            raise AssertionError(f"target for {changes} changes unreachable")
-        if changes == 1:
-            return self._reconstruct_two_blocks(target)
-        t0, t1 = dp["t0"], dp["t1"]
-        n0, n1 = self.n0, self.n1
-        layer = changes - 1
-        runs_rev: list[tuple[int, int, int]] = []  # (color, lo, hi) 0-based
-        cursor: tuple[int, int, int, int] | None = None
-        exits0, exits1 = self._exits(layer)
-        for a in range(n0 - 1):
-            if int(exits0[a]) == target:
-                runs_rev.append((0, a + 1, n0 - 1))
-                cursor = (layer, 1, a, n1 - 1)
-                break
-        if cursor is None:
-            for b in range(n1 - 1):
-                if int(exits1[b]) == target:
-                    runs_rev.append((1, b + 1, n1 - 1))
-                    cursor = (layer, 0, n0 - 1, b)
-                    break
-        if cursor is None:
-            raise AssertionError("no exit matches the target distance")
-
-        # Shifted distances: a move within the open block keeps the value,
-        # a color change adds the ``into`` weight of the new block's cell.
-        entry0, entry1 = dp["entry0"], dp["entry1"]
-        into0, into1 = dp["into0"], dp["into1"]
-        first_run: tuple[int, int, int] | None = None
-        while first_run is None:
-            layer, color, a, b = cursor
-            if color == 0:
-                run_hi = a
-                lo, line = self._line(layer, 0, 0, b)
-                d = int(line[a - lo])
-                if layer >= 2:
-                    lo_prev, prev = self._line(layer - 1, 1, 0, b)
-                while True:
-                    if layer == 1 and a == 0:
-                        w = min(abs(int(t0[0] - t1[b])), abs(int(t0[0] - t1[0])))
-                        if int(entry1[b]) + w == d + int(t0[0]):
-                            runs_rev.append((0, 0, run_hi))
-                            first_run = (1, 0, b)
-                            break
-                    if layer >= 2 and a - 1 >= lo_prev:
-                        if int(prev[a - 1 - lo_prev]) + int(into0[a, b]) == d:
-                            runs_rev.append((0, a, run_hi))
-                            cursor = (layer - 1, 1, a - 1, b)
-                            break
-                    if a - 1 >= lo and int(line[a - 1 - lo]) == d:
-                        a -= 1
-                        continue
-                    raise AssertionError("backtrack mismatch on color-0 grid")
+        dp = self._price_through(max(changes))
+        walks: dict[int, _Walk] = {}
+        for k in sorted(set(changes), reverse=True):
+            target = dp["tau"][k]
+            if target >= INF:
+                raise AssertionError(f"target for {k} changes unreachable")
+            walks[k] = _Walk(k - 1, target)
+        pending = [walk for walk in walks.values() if walk.layer >= 1]
+        have = dict(dp["kept"])
+        pool: list[tuple[np.ndarray, np.ndarray]] = []
+        if dp["last"] is not None:
+            have[len(dp["tau"]) - 2] = dp["last"]
+        active: list[_Walk] = []
+        for layer in range(pending[0].layer if pending else 0, 0, -1):
+            while pending and pending[0].layer == layer:
+                if layer not in have:
+                    self._recompute(have, layer, None, (0, 1), pool)
+                self._start(pending[0], have[layer])
+                active.append(pending.pop(0))
+            below = layer - 1
+            if below and below not in have:
+                base = self._checkpoint_below(below)
+                if pending and pending[0].layer > base:
+                    stop, chains = None, (0, 1)
+                else:
+                    stop = (
+                        max(walk.cursor[1] for walk in active) + 1,
+                        max(walk.cursor[2] for walk in active) + 1,
+                    )
+                    chains = {(walk.layer + walk.cursor[0]) % 2 for walk in active}
+                self._recompute(have, below, stop, chains, pool)
+            for walk in active:
+                self._step(walk, have)
+            if layer not in dp["kept"]:
+                del have[layer]
+        jobs = {}
+        for k, walk in walks.items():
+            if k == 1:
+                jobs[k] = self._reconstruct_two_blocks(walk.target)
             else:
-                run_hi = b
-                lo, line = self._line(layer, 1, 1, a)
-                d = int(line[b - lo])
-                if layer >= 2:
-                    lo_prev, prev = self._line(layer - 1, 0, 1, a)
-                while True:
-                    if layer == 1 and b == 0:
-                        w = min(abs(int(t1[0] - t0[a])), abs(int(t1[0] - t0[0])))
-                        if int(entry0[a]) + w == d + int(t1[0]):
-                            runs_rev.append((1, 0, run_hi))
-                            first_run = (0, 0, a)
-                            break
-                    if layer >= 2 and b - 1 >= lo_prev:
-                        if int(prev[b - 1 - lo_prev]) + int(into1[a, b]) == d:
-                            runs_rev.append((1, b, run_hi))
-                            cursor = (layer - 1, 0, a, b - 1)
-                            break
-                    if b - 1 >= lo and int(line[b - 1 - lo]) == d:
-                        b -= 1
-                        continue
-                    raise AssertionError("backtrack mismatch on color-1 grid")
+                jobs[k] = self._materialize([walk.first_run] + walk.runs_rev[::-1])
+        return [jobs[k] for k in changes]
 
-        runs = [first_run] + runs_rev[::-1]
-        return self._materialize(runs)
+    def _checkpoint_below(self, layer: int) -> int:
+        """The highest kept layer below ``layer``."""
+        stride = self._dp["stride"]
+        return max(1, (layer - 1) // stride * stride)
+
+    def _recompute(
+        self,
+        have: dict,
+        layer: int,
+        stop: tuple[int, int] | None,
+        chains: Collection[int],
+        pool: list[tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """Relax the layers from the kept one below ``layer`` through
+        ``layer`` again, over the cells before ``stop`` and on the grids
+        whose layer + color parity is in ``chains``, into ``have``.
+
+        The ``i``-th layer of a segment reuses the ``i``-th buffer pair of
+        ``pool``; the segment relaxed before this one lay above it, and the
+        walks have left it.
+        """
+        base = self._checkpoint_below(layer)
+        grids = have[base]
+        for offset, above in enumerate(range(base + 1, layer + 1)):
+            if offset == len(pool):
+                size = self.n0 * self.n1
+                pool.append((np.empty(size, np.int64), np.empty(size, np.int64)))
+            colors = {(chain - above) % 2 for chain in chains}
+            grids = have[above] = self._relax(above, grids, stop, pool[offset], colors)
+
+    def _start(self, walk: _Walk, grids: tuple[np.ndarray, np.ndarray]) -> None:
+        """Place ``walk`` on the first exit of its layer that meets its target."""
+        n0, n1 = self.n0, self.n1
+        exits0, exits1 = self._exits(walk.layer, grids)
+        for a in range(n0 - 1):
+            if int(exits0[a]) == walk.target:
+                walk.runs_rev.append((0, a + 1, n0 - 1))
+                walk.cursor = (1, a, n1 - 1)
+                return
+        for b in range(n1 - 1):
+            if int(exits1[b]) == walk.target:
+                walk.runs_rev.append((1, b + 1, n1 - 1))
+                walk.cursor = (0, n0 - 1, b)
+                return
+        raise AssertionError("no exit matches the target distance")
+
+    def _step(self, walk: _Walk, have: dict) -> None:
+        """Trace ``walk``'s open block on its layer back to the block's
+        first job, and move to the layer below (or finish on layer 1).
+
+        Shifted distances: a move within the open block keeps the value,
+        a color change adds the ``into`` weight of the new block's cell.
+        """
+        dp = self._dp
+        t0, t1 = dp["t0"], dp["t1"]
+        layer = walk.layer
+        color, a, b = walk.cursor
+        if color == 0:
+            run_hi = a
+            lo, line = self._line(have[layer], layer, 0, 0, b)
+            d = int(line[a - lo])
+            if layer >= 2:
+                lo_prev, prev = self._line(have[layer - 1], layer - 1, 1, 0, b)
+            into0, entry1 = dp["into0"], dp["entry1"]
+            while True:
+                if layer == 1 and a == 0:
+                    w = min(abs(int(t0[0] - t1[b])), abs(int(t0[0] - t1[0])))
+                    if int(entry1[b]) + w == d + int(t0[0]):
+                        walk.runs_rev.append((0, 0, run_hi))
+                        walk.first_run = (1, 0, b)
+                        return
+                if layer >= 2 and a - 1 >= lo_prev:
+                    if int(prev[a - 1 - lo_prev]) + int(into0[a, b]) == d:
+                        walk.runs_rev.append((0, a, run_hi))
+                        walk.layer, walk.cursor = layer - 1, (1, a - 1, b)
+                        return
+                if a - 1 >= lo and int(line[a - 1 - lo]) == d:
+                    a -= 1
+                    continue
+                raise AssertionError("backtrack mismatch on color-0 grid")
+        run_hi = b
+        lo, line = self._line(have[layer], layer, 1, 1, a)
+        d = int(line[b - lo])
+        if layer >= 2:
+            lo_prev, prev = self._line(have[layer - 1], layer - 1, 0, 1, a)
+        into1, entry0 = dp["into1"], dp["entry0"]
+        while True:
+            if layer == 1 and b == 0:
+                w = min(abs(int(t1[0] - t0[a])), abs(int(t1[0] - t0[0])))
+                if int(entry0[a]) + w == d + int(t1[0]):
+                    walk.runs_rev.append((1, 0, run_hi))
+                    walk.first_run = (0, 0, a)
+                    return
+            if layer >= 2 and b - 1 >= lo_prev:
+                if int(prev[b - 1 - lo_prev]) + int(into1[a, b]) == d:
+                    walk.runs_rev.append((1, b, run_hi))
+                    walk.layer, walk.cursor = layer - 1, (0, a, b - 1)
+                    return
+            if b - 1 >= lo and int(line[b - 1 - lo]) == d:
+                b -= 1
+                continue
+            raise AssertionError("backtrack mismatch on color-1 grid")
 
     def _jobs_of(self, color: int) -> tuple[Job, ...]:
         return self.jobs0 if color == 0 else self.jobs1
@@ -403,6 +547,21 @@ class SearchGraph:
                     if total_temperature_change(seq) == target:
                         return seq
         raise AssertionError("no two-block layout matches the target distance")
+
+
+def checkpoint_stride(layers: int) -> int:
+    """Every this-many-th of a graph's ``layers`` grid layers is kept for
+    reconstruction: ``ceil(sqrt(layers))``, at least 1.
+
+    So the kept layers number about ``sqrt(layers)``, and so do the layers
+    of a segment relaxed again between two of them.
+    """
+    return math.isqrt(max(layers, 1) - 1) + 1
+
+
+def _add(a: np.ndarray, b: np.ndarray, buffer: np.ndarray | None) -> np.ndarray:
+    """``a + b``, written to the front of the flat ``buffer`` if one is given."""
+    return np.add(a, b, out=None if buffer is None else buffer[: b.size].reshape(b.shape))
 
 
 def _band(layer: int, color: int) -> tuple[int, int]:
@@ -460,21 +619,23 @@ def shortest_schedule(instance: Instance, max_color_changes: int) -> SolveResult
 
 def pareto_front(
     instance: Instance,
-) -> tuple[list[tuple[int, int | None]], Callable[[int], SolveResult]]:
-    """The :func:`pareto_sweep` table and a solve for any budget in it.
+) -> tuple[list[tuple[int, int | None]], Callable[[Iterable[int]], list[SolveResult]]]:
+    """The :func:`pareto_sweep` table and a batch solve for budgets in it.
 
-    Both read the same single distance pass; the solve takes budgets of
-    at least the first feasible one.
+    Both read the same single distance pass.  The solve takes a sequence
+    of budgets, each at least the first feasible one, and returns one
+    result per budget; a two-color batch reconstructs in one pass.
     """
     _check_colors(instance)
     if len(instance.colors) == 1:
         table = pareto_table(instance, [temperature_span(instance.jobs)])
-        return table, partial(shortest_schedule, instance)
+        return table, lambda budgets: [shortest_schedule(instance, k) for k in budgets]
     graph = build_search_graph(instance, max_merged_color_changes(instance))
     # No change count past the first that attains the overall optimum can
     # lower the running best, so the table needs exact values only up to it.
     _, changes = graph.best_under_cap(graph.max_changes)
-    return pareto_table(instance, [None, *graph.layer_target_distances(changes)]), graph.solve
+    table = pareto_table(instance, [None, *graph.layer_target_distances(changes)])
+    return table, graph.solve_many
 
 
 def pareto_sweep(instance: Instance) -> list[tuple[int, int | None]]:

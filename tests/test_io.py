@@ -17,7 +17,7 @@ from calsched import (
     total_temperature_change,
     verify_schedule,
 )
-from calsched import brute_force_optimal, oracle, solver
+from calsched import brute_force_optimal, cli, oracle, solver
 from calsched.cli import EXIT_INTERNAL, main
 from calsched.formats import detect_format, plot_svg, plot_tsv
 from conftest import TEN_JOB_THREE_COLOR, make_two_color, two_color_instances
@@ -294,6 +294,33 @@ class TestCli:
                 expected[f"pareto_k{k}.tsv"] = plot_tsv(emit_plot(schedule))
         written = {f.name: f.read_text(encoding="utf-8") for f in plots.iterdir()}
         assert written == expected
+
+    @pytest.mark.parametrize("colors,seed", [(2, 5), (2, 9), (3, 7)])
+    def test_sweep_formats_each_distinct_plot_once(
+        self, colors, seed, tmp_path, capsys, monkeypatch
+    ):
+        rng = random.Random(seed)  # few distinct temperatures, so the curve has flats
+        records = [(f"j{i}", rng.randint(1, 5), i % colors) for i in range(4 * colors + 6)]
+        instance = build_instance(records)
+        path = tmp_path / "jobs.csv"
+        path.write_text(serialize_instance(instance, "csv"), encoding="utf-8")
+        formatted = []
+        real_emit = cli.emit_plot
+        monkeypatch.setattr(cli, "emit_plot", lambda s: formatted.append(s.order) or real_emit(s))
+        plots = tmp_path / "plots"
+        assert main(["sweep", "--input", str(path), "--emit-plot-dir", str(plots)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        budgets = [k for k, value in doc["pareto"] if value is not None]
+        if colors == 2:
+            schedules = [shortest_schedule(instance, k).schedule for k in budgets]
+        else:
+            schedules = [brute_force_optimal(instance, k).optimal_schedules[0] for k in budgets]
+        distinct = {schedule.order for schedule in schedules}
+        assert sorted(formatted) == sorted(distinct)
+        assert len(distinct) < len(budgets) == len(list(plots.iterdir()))
+        for k, schedule in zip(budgets, schedules):
+            written = (plots / f"pareto_k{k}.tsv").read_text(encoding="utf-8")
+            assert written == plot_tsv(real_emit(schedule))
 
     def test_failed_self_check_is_an_internal_error(self, instance_file, capsys, monkeypatch):
         def broken(self, budget):

@@ -1,5 +1,10 @@
 import heapq
 import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +24,7 @@ from calsched import (
     temperature_span,
     total_temperature_change,
 )
+from calsched import solver
 from calsched.core import MAGNITUDE_LIMIT, max_merged_color_changes, pareto_table
 from calsched.solver import _band, pareto_front
 from conftest import job_records, make_two_color, three_color_instance, two_color_instances
@@ -292,8 +298,7 @@ class TestParetoSweep:
         table, solve = pareto_front(instance)
         full = build_search_graph(instance, max_merged_color_changes(instance))
         assert table == pareto_table(instance, [None, *full.layer_target_distances()])
-        for k, value in table[1:]:
-            result = solve(k)
+        for (k, value), result in zip(table[1:], solve([k for k, _ in table[1:]])):
             assert result == shortest_schedule(instance, k)
             # Ties go to the fewest changes: the first budget reaching the value.
             assert result.changes == next(j for j, v in table if v == value)
@@ -305,3 +310,76 @@ class TestParetoSweep:
             [("a", 3, 0), ("b", 3, 0), ("c", 1, 1), ("d", 5, 1), ("e", 4, 0), ("f", 5, 1)]
         )
         assert pareto_sweep(inst) == enumerate_pareto(inst)
+
+
+class TestCheckpoints:
+    """Layers not kept are relaxed again from the kept layer below them."""
+
+    @given(
+        st.one_of(
+            job_records(min_colors=2, max_colors=2, max_jobs=16, max_temp=9),
+            lopsided_records(),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stride_does_not_change_answers(self, records):
+        # Stride 1 keeps every layer and recomputes nothing: the reference.
+        instance = build_instance(records)
+        seen = []
+        for stride in (1, 2, 3, None):
+            with pytest.MonkeyPatch.context() as mp:
+                if stride is not None:
+                    mp.setattr(solver, "checkpoint_stride", lambda layers, c=stride: c)
+                table, solve = pareto_front(instance)
+                budgets = [k for k, value in table if value is not None]
+                batch = solve(budgets)
+                single = [shortest_schedule(instance, k) for k in budgets]
+                graph = build_search_graph(instance, max_merged_color_changes(instance))
+                seen.append((table, batch, single, graph.layer_target_distances()))
+            assert batch == single
+        assert all(answers == seen[0] for answers in seen[1:])
+
+    def test_stride_is_ceil_sqrt_of_layers(self):
+        strides = [solver.checkpoint_stride(layers) for layers in (0, 1, 2, 4, 5, 49, 50, 998)]
+        assert strides == [1, 1, 2, 2, 3, 7, 8, 32]
+
+    def test_batch_reconstruction_is_one_pass(self, monkeypatch):
+        rng = random.Random(40)
+        temps = rng.sample(range(1, 1000), 80)
+        instance = make_two_color(temps[:40], temps[40:])
+        calls = []
+        real_relax = solver.SearchGraph._relax
+        monkeypatch.setattr(
+            solver.SearchGraph, "_relax", lambda *a, **kw: calls.append(a[1]) or real_relax(*a, **kw)
+        )
+        table, solve = pareto_front(instance)
+        priced = len(calls) + 1  # the pass relaxes every layer from 2 up
+        budgets = [k for k, value in table if value is not None]
+        calls.clear()
+        results = solve(budgets)
+        assert 0 < len(calls) <= priced
+        assert len({result.changes for result in results}) > priced // 2
+        assert results == [shortest_schedule(instance, k) for k in budgets]
+
+    def test_full_500_sweep_peak_memory(self):
+        # The whole 500+500 curve in a fresh process; with every priced
+        # layer kept it needs more than 1 GB.
+        child = textwrap.dedent(
+            """
+            import random, resource
+            from calsched import build_instance, pareto_sweep
+            rng = random.Random(2024)
+            records = [(f"j{i}", rng.randint(0, 10**6) / 1000, i % 2) for i in range(1000)]
+            table = pareto_sweep(build_instance(records))
+            assert len(table) == 1000 and table[-1][1] is not None
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(solver.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True, text=True, check=True, timeout=120, env=env,
+        )
+        peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 512, peak_mb
