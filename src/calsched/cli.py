@@ -120,12 +120,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if plotted:
         out_dir = Path(args.emit_plot_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # Flat stretches of the curve share a schedule; format it once.
+        # Flat stretches of the curve share a schedule; format it once, and
+        # each job temperature once across the plots.
         texts: dict[tuple[str, ...], str] = {}
+        labels: dict[int, str] = {}
         for k, plot_result in zip(plotted, plot_results):
             schedule = plot_result.schedule
             if schedule.order not in texts:
-                texts[schedule.order] = plot_tsv(emit_plot(schedule))
+                texts[schedule.order] = plot_tsv(emit_plot(schedule), labels)
             (out_dir / f"pareto_k{k}.tsv").write_text(texts[schedule.order], encoding="utf-8")
     print(json.dumps(_result_document(result, pareto=table), indent=2))
     return EXIT_OK

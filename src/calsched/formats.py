@@ -148,13 +148,20 @@ def emit_plot(schedule: Schedule) -> list[PlotRow]:
     return rows
 
 
-def plot_tsv(rows: list[PlotRow]) -> str:
+def plot_tsv(rows: list[PlotRow], labels: dict[int, str] | None = None) -> str:
+    """Plot TSV text of ``rows``.
+
+    ``labels`` caches the decimal text of job temperatures; plots of one
+    instance that share it format each job temperature once between them.
+    Cumulative values are formatted per row, since few of them repeat.
+    """
+    labels = {} if labels is None else labels
     lines = ["cumulative_T\ttemperature\tcolor\tid"]
     for row in rows:
-        lines.append(
-            f"{format_temperature(row.cumulative)}\t"
-            f"{format_temperature(row.temperature)}\t{row.color}\t{row.job_id}"
-        )
+        label = labels.get(row.temperature)
+        if label is None:
+            label = labels[row.temperature] = format_temperature(row.temperature)
+        lines.append(f"{format_temperature(row.cumulative)}\t{label}\t{row.color}\t{row.job_id}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,7 @@ returns the whole trade-off table together with that batch solve, so a
 sweep with plots builds one graph and rebuilds every distinct optimum in
 one reconstruction pass.
 
-The pass is dense numpy ``int64`` work, shaped four ways:
+The pass is dense numpy work, shaped five ways:
 
 * shifted frame: each grid holds distance minus the last temperature of
   the open block, so a layer is one add of a fixed per-cell weight to the
@@ -43,10 +43,17 @@ The pass is dense numpy ``int64`` work, shaped four ways:
   the layers in lock-step and relaxes each segment between two kept
   layers again at most once per call, only up to the farthest cell a
   walk stands on, so about ``2 * sqrt(K)`` layers are stored at once
-  instead of ``K``.
+  instead of ``K``;
+* narrow: temperatures are shifted so the lowest is 0, which changes no
+  weight or target, and then every band value on layer ``l`` lies in
+  ``[-span, (l + 2) * span]``.  :func:`grid_dtype` turns that bound into
+  the one dtype of every band grid, buffer and recomputed layer: ``int32``
+  when ``(max_changes + 4) * span <= 2**30``, else ``int64``.  Exits and
+  targets are always ``int64``.
 
 The magnitude bound that :class:`~calsched.core.Instance` enforces keeps
-every real distance far below the ``INF`` sentinel.
+every real distance far below the ``INF`` sentinel, and no ``INF`` ever
+enters a band grid.
 """
 
 from __future__ import annotations
@@ -148,8 +155,13 @@ class SearchGraph:
         """
         if self._dp:
             return self._dp
-        t0 = np.array([j.temperature for j in self.jobs0], dtype=np.int64)
-        t1 = np.array([j.temperature for j in self.jobs1], dtype=np.int64)
+        # Weights and targets depend only on temperature differences, so
+        # this shift is exact; it bounds the band values for grid_dtype.
+        low = min(self.jobs0[0].temperature, self.jobs1[0].temperature)
+        t0 = np.array([j.temperature - low for j in self.jobs0], dtype=np.int64)
+        t1 = np.array([j.temperature - low for j in self.jobs1], dtype=np.int64)
+        span = temperature_span(self.instance.jobs)
+        dtype = grid_dtype(self.max_changes, span)
         entry0 = t0 - t0[0]
         entry1 = t1 - t1[0]
         gap = t1[None, :] - t0[:, None]
@@ -165,8 +177,8 @@ class SearchGraph:
             t1=t1,
             entry0=entry0,
             entry1=entry1,
-            into0=2 * np.maximum(gap, 0),
-            into1=2 * np.maximum(-gap, 0),
+            into0=(2 * np.maximum(gap, 0)).astype(dtype),
+            into1=(2 * np.maximum(-gap, 0)).astype(dtype),
             # Entry a (b): what a final block of color 0's jobs a+1.. (color
             # 1's jobs b+1..) adds to the shifted distance of the grid cell
             # at the other color's last job.
@@ -174,7 +186,8 @@ class SearchGraph:
             + (t0[-1] - t0[1:]),
             exit1=t0[-1] + np.minimum(np.abs(t1[1:] - t0[-1]), abs(int(t1[-1] - t0[-1])))
             + (t1[-1] - t1[1:]),
-            span=temperature_span(self.instance.jobs),
+            span=span,
+            dtype=dtype,
             stride=checkpoint_stride(self.max_changes - 1),
             kept={},
             last=None,
@@ -199,15 +212,14 @@ class SearchGraph:
             row = dp["entry1"] + np.minimum(np.abs(t0[0] - t1), abs(int(t0[0] - t1[0]))) - t0[0]
             col = dp["entry0"] + np.minimum(np.abs(t1[0] - t0), abs(int(t1[0] - t0[0]))) - t1[0]
             grids = dp["kept"][1] = (
-                np.broadcast_to(row[None, :], (self.n0, self.n1)),
-                np.broadcast_to(col[:, None], (self.n0, self.n1)),
+                np.broadcast_to(row.astype(dp["dtype"])[None, :], (self.n0, self.n1)),
+                np.broadcast_to(col.astype(dp["dtype"])[:, None], (self.n0, self.n1)),
             )
         elif layer % dp["stride"] == 0:
             grids = dp["kept"][layer] = self._relax(layer, dp["last"])
         else:
             if dp["buffers"] is None:
-                size = self.n0 * self.n1
-                dp["buffers"] = [(np.empty(size, np.int64), np.empty(size, np.int64)) for _ in "ab"]
+                dp["buffers"] = [self._flat_pair(), self._flat_pair()]
             grids = self._relax(layer, dp["last"], out=dp["buffers"][layer % 2])
         dp["last"] = grids
         exits0, exits1 = self._exits(layer, grids)
@@ -215,6 +227,11 @@ class SearchGraph:
         dp["tau"].append(value)
         best = dp["best"]
         best.append((value, layer + 1) if value < best[-1][0] else best[-1])
+
+    def _flat_pair(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two flat buffers of the grid dtype, each large enough for a full grid."""
+        size, dtype = self.n0 * self.n1, self._dp["dtype"]
+        return np.empty(size, dtype), np.empty(size, dtype)
 
     def _relax(
         self,
@@ -432,8 +449,7 @@ class SearchGraph:
         grids = have[base]
         for offset, above in enumerate(range(base + 1, layer + 1)):
             if offset == len(pool):
-                size = self.n0 * self.n1
-                pool.append((np.empty(size, np.int64), np.empty(size, np.int64)))
+                pool.append(self._flat_pair())
             colors = {(chain - above) % 2 for chain in chains}
             grids = have[above] = self._relax(above, grids, stop, pool[offset], colors)
 
@@ -557,6 +573,21 @@ def checkpoint_stride(layers: int) -> int:
     of a segment relaxed again between two of them.
     """
     return math.isqrt(max(layers, 1) - 1) + 1
+
+
+def grid_dtype(max_changes: int, span: int) -> type[np.signedinteger]:
+    """The narrowest exact dtype for the band grids of a graph with budget
+    ``max_changes`` over temperatures spanning ``span``.
+
+    With the lowest temperature shifted to 0, a partial path with ``l``
+    changes costs at most ``(l + 2) * span`` (moves within blocks add up to
+    at most the two colors' spans, and each junction to at most ``span``),
+    and a shifted value subtracts at most ``span``.  Layers stop at
+    ``max_changes - 1`` and a relaxation adds one weight of at most
+    ``2 * span``, so ``int32`` holds every band value and every sum once
+    ``(max_changes + 4) * span <= 2**30``.
+    """
+    return np.int32 if (max_changes + 4) * span <= 1 << 30 else np.int64
 
 
 def _add(a: np.ndarray, b: np.ndarray, buffer: np.ndarray | None) -> np.ndarray:

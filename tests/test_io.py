@@ -9,6 +9,7 @@ from calsched import (
     ValidationError,
     build_instance,
     emit_plot,
+    format_temperature,
     generate_instance,
     parse_instance,
     pareto_sweep,
@@ -17,7 +18,7 @@ from calsched import (
     total_temperature_change,
     verify_schedule,
 )
-from calsched import brute_force_optimal, cli, oracle, solver
+from calsched import brute_force_optimal, cli, formats, oracle, solver
 from calsched.cli import EXIT_INTERNAL, main
 from calsched.formats import detect_format, plot_svg, plot_tsv
 from conftest import TEN_JOB_THREE_COLOR, make_two_color, two_color_instances
@@ -304,11 +305,15 @@ class TestCli:
         instance = build_instance(records)
         path = tmp_path / "jobs.csv"
         path.write_text(serialize_instance(instance, "csv"), encoding="utf-8")
-        formatted = []
+        formatted, labelled = [], []
         real_emit = cli.emit_plot
         monkeypatch.setattr(cli, "emit_plot", lambda s: formatted.append(s.order) or real_emit(s))
+        monkeypatch.setattr(
+            formats, "format_temperature", lambda v: labelled.append(v) or format_temperature(v)
+        )
         plots = tmp_path / "plots"
         assert main(["sweep", "--input", str(path), "--emit-plot-dir", str(plots)]) == 0
+        monkeypatch.undo()
         doc = json.loads(capsys.readouterr().out)
         budgets = [k for k, value in doc["pareto"] if value is not None]
         if colors == 2:
@@ -318,9 +323,18 @@ class TestCli:
         distinct = {schedule.order for schedule in schedules}
         assert sorted(formatted) == sorted(distinct)
         assert len(distinct) < len(budgets) == len(list(plots.iterdir()))
+        # Each job temperature is formatted once in all, each cumulative once per row.
+        rows = [row for s in {s.order: s for s in schedules}.values() for row in emit_plot(s)]
+        temperatures = {row.temperature for row in rows}
+        assert len(labelled) == len(temperatures) + len(rows)
+        assert temperatures <= set(labelled)
         for k, schedule in zip(budgets, schedules):
             written = (plots / f"pareto_k{k}.tsv").read_text(encoding="utf-8")
-            assert written == plot_tsv(real_emit(schedule))
+            lines = [
+                f"{format_temperature(r.cumulative)}\t{format_temperature(r.temperature)}\t{r.color}\t{r.job_id}\n"
+                for r in emit_plot(schedule)
+            ]
+            assert written == "".join(["cumulative_T\ttemperature\tcolor\tid\n", *lines])
 
     def test_failed_self_check_is_an_internal_error(self, instance_file, capsys, monkeypatch):
         def broken(self, budget):

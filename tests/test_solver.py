@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,6 +304,27 @@ class TestParetoSweep:
             # Ties go to the fewest changes: the first budget reaching the value.
             assert result.changes == next(j for j, v in table if v == value)
 
+    def test_table_is_invariant_at_300_per_color(self):
+        # Too large for the oracle or the explicit-graph audit.  A shift by
+        # more than int32 holds still has to price int32 grids exactly;
+        # reflection reverses both sorted lists, so other cells decide.
+        rng = random.Random(300)
+        scaled = [(rng.randint(0, 10**6), i % 2) for i in range(600)]
+        top = max(t for t, _ in scaled)
+
+        def table(records):
+            return pareto_sweep(
+                build_instance(
+                    [(f"j{i}", format_temperature(t), c) for i, (t, c) in enumerate(records)]
+                )
+            )
+
+        base = table(scaled)
+        assert len(base) == 600 and base[-1][1] == top - min(t for t, _ in scaled)
+        assert table([(t + 5 * 10**9, c) for t, c in scaled]) == base
+        assert table([(top - t, c) for t, c in scaled]) == base
+        assert table([(t, 1 - c) for t, c in scaled]) == base
+
     def test_agrees_with_oracle_table_under_duplicates(self):
         from calsched import enumerate_pareto
 
@@ -323,13 +345,16 @@ class TestCheckpoints:
     )
     @settings(max_examples=60, deadline=None)
     def test_stride_does_not_change_answers(self, records):
-        # Stride 1 keeps every layer and recomputes nothing: the reference.
+        # Stride 1 keeps every layer and recomputes nothing, and int64 grids
+        # hold every value: the reference.
         instance = build_instance(records)
         seen = []
-        for stride in (1, 2, 3, None):
+        for stride, dtype in itertools.product((1, 2, 3, None), (np.int64, None)):
             with pytest.MonkeyPatch.context() as mp:
                 if stride is not None:
                     mp.setattr(solver, "checkpoint_stride", lambda layers, c=stride: c)
+                if dtype is not None:
+                    mp.setattr(solver, "grid_dtype", lambda changes, span, d=dtype: d)
                 table, solve = pareto_front(instance)
                 budgets = [k for k, value in table if value is not None]
                 batch = solve(budgets)
@@ -360,6 +385,49 @@ class TestCheckpoints:
         assert 0 < len(calls) <= priced
         assert len({result.changes for result in results}) > priced // 2
         assert results == [shortest_schedule(instance, k) for k in budgets]
+
+    @given(
+        st.one_of(
+            job_records(min_colors=2, max_colors=2, max_jobs=16, max_temp=40),
+            lopsided_records(max_temp=40),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_band_values_stay_within_the_path_bound(self, records):
+        # The bound that lets grid_dtype pick int32: with every layer kept
+        # and exact int64 grids, no band value leaves [-span, (layer+2)*span],
+        # so no INF ever enters a band.
+        instance = build_instance(records)
+        span = temperature_span(instance.jobs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "checkpoint_stride", lambda layers: 1)
+            mp.setattr(solver, "grid_dtype", lambda changes, span: np.int64)
+            graph = build_search_graph(instance, max_merged_color_changes(instance))
+            graph.layer_target_distances()
+        kept = graph._dp["kept"]
+        assert sorted(kept) == list(range(1, graph.max_changes))
+        for layer, grids in kept.items():
+            for grid in grids:
+                assert -span <= grid.min() and grid.max() <= (layer + 2) * span, layer
+
+    @pytest.mark.parametrize("widen", [0, 1])
+    def test_int32_up_to_the_bound(self, widen):
+        # 3+2 jobs allow at most 4 changes, so (4 + 4) * span hits 2^30
+        # exactly at span 2^27; one thousandth wider needs int64.
+        span = (1 << 27) + widen
+        temps = [(0, 0), (span // 3, 0), (span, 0), (span // 2, 1), (span - 7, 1)]
+        instance = build_instance(
+            [(f"j{i}", format_temperature(t), c) for i, (t, c) in enumerate(temps)]
+        )
+        assert max_merged_color_changes(instance) == 4 and temperature_span(instance.jobs) == span
+        assert solver.grid_dtype(4, span) is (np.int64 if widen else np.int32)
+        graph = build_search_graph(instance, 4)
+        distances = graph.layer_target_distances()
+        assert graph._dp["dtype"] is solver.grid_dtype(4, span)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "grid_dtype", lambda changes, span: np.int64)
+            assert build_search_graph(instance, 4).layer_target_distances() == distances
+            assert pareto_sweep(instance) == pareto_table(instance, [None, *distances])
 
     def test_full_500_sweep_peak_memory(self):
         # The whole 500+500 curve in a fresh process; with every priced
