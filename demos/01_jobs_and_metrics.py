@@ -12,7 +12,6 @@ from calsched import (
     Schedule,
     build_instance,
     color_changes,
-    emit_plot,
     format_temperature,
     partition_blocks,
     total_temperature_change,
@@ -58,4 +57,4 @@ for name, schedule in (("temperature-sorted", by_temperature), ("color-grouped",
         )
 
 print("\nplot series for the color-grouped schedule (x = cumulative change):")
-print(plot_tsv(emit_plot(by_color)), end="")
+print(plot_tsv(by_color), end="")

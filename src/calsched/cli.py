@@ -62,8 +62,7 @@ def _result_document(result: SolveResult, pareto: list[tuple[int, int | None]] |
 
 
 def _write_plot(schedule: Schedule, path: str) -> None:
-    rows = emit_plot(schedule)
-    text = plot_svg(rows) if path.endswith(".svg") else plot_tsv(rows)
+    text = plot_svg(emit_plot(schedule)) if path.endswith(".svg") else plot_tsv(schedule)
     Path(path).write_text(text, encoding="utf-8")
 
 
@@ -127,7 +126,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for k, plot_result in zip(plotted, plot_results):
             schedule = plot_result.schedule
             if schedule.order not in texts:
-                texts[schedule.order] = plot_tsv(emit_plot(schedule), labels)
+                texts[schedule.order] = plot_tsv(schedule, labels)
             (out_dir / f"pareto_k{k}.tsv").write_text(texts[schedule.order], encoding="utf-8")
     print(json.dumps(_result_document(result, pareto=table), indent=2))
     return EXIT_OK

@@ -27,7 +27,9 @@ SCALE = 1000
 # most 2^59, and INF plus one edge stays below 2^63.
 MAGNITUDE_LIMIT = 1 << 59
 
-# Unreachable-cell sentinel of the exact solvers' int64 tables.
+# Unreachable-cell sentinel of the exact solvers' int64 arrays: the two-color
+# solver's exits and distances, and the exhaustive solver's table when it
+# cannot be int32 (see ``oracle.table_dtype``).
 INF = 1 << 61
 
 

@@ -127,41 +127,53 @@ class PlotRow:
     job_id: str
 
 
-def emit_plot(schedule: Schedule) -> list[PlotRow]:
-    """Cumulative-change plot series, one row per expanded job."""
-    rows: list[PlotRow] = []
-    cumulative = 0
+def _plot_columns(
+    schedule: Schedule,
+) -> tuple[list[int], list[int], list[int], list[str]]:
+    """Cumulative change, temperature, color and id of each expanded job.
+
+    Members of a merged job share its temperature, so they add no change.
+    """
+    cumulative: list[int] = []
+    temperatures: list[int] = []
+    colors: list[int] = []
+    ids: list[str] = []
+    total = 0
     previous: int | None = None
     for job in schedule.jobs:
+        temperature = job.temperature
+        if previous is not None:
+            total += abs(temperature - previous)
+        previous = temperature
         for member in job.members:
-            if previous is not None:
-                cumulative += abs(job.temperature - previous)
-            previous = job.temperature
-            rows.append(
-                PlotRow(
-                    cumulative=cumulative,
-                    temperature=job.temperature,
-                    color=job.color,
-                    job_id=member,
-                )
-            )
-    return rows
+            cumulative.append(total)
+            temperatures.append(temperature)
+            colors.append(job.color)
+            ids.append(member)
+    return cumulative, temperatures, colors, ids
 
 
-def plot_tsv(rows: list[PlotRow], labels: dict[int, str] | None = None) -> str:
-    """Plot TSV text of ``rows``.
+def emit_plot(schedule: Schedule) -> list[PlotRow]:
+    """Cumulative-change plot series, one row per expanded job."""
+    return [PlotRow(*row) for row in zip(*_plot_columns(schedule))]
+
+
+def plot_tsv(schedule: Schedule, labels: dict[int, str] | None = None) -> str:
+    """Plot TSV text of ``schedule``, one line per expanded job.
 
     ``labels`` caches the decimal text of job temperatures; plots of one
     instance that share it format each job temperature once between them.
     Cumulative values are formatted per row, since few of them repeat.
     """
+    cumulative, temperatures, colors, ids = _plot_columns(schedule)
     labels = {} if labels is None else labels
+    for temperature in set(temperatures).difference(labels):
+        labels[temperature] = format_temperature(temperature)
     lines = ["cumulative_T\ttemperature\tcolor\tid"]
-    for row in rows:
-        label = labels.get(row.temperature)
-        if label is None:
-            label = labels[row.temperature] = format_temperature(row.temperature)
-        lines.append(f"{format_temperature(row.cumulative)}\t{label}\t{row.color}\t{row.job_id}")
+    lines += [
+        f"{format_temperature(x)}\t{labels[t]}\t{c}\t{i}"
+        for x, t, c, i in zip(cumulative, temperatures, colors, ids)
+    ]
     return "\n".join(lines) + "\n"
 
 

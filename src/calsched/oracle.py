@@ -6,19 +6,24 @@ exact for the capped problem and agree wherever both run; they exist to
 certify the polynomial graph solver and to explore instances with three or
 more colors, where no polynomial algorithm is known.
 
-The subset DP is one dense numpy ``int64`` table ``D[mask, last, k]``: the
-least total change over orderings of the jobs in ``mask`` that end at
-``last`` with exactly ``k`` color changes.  It is filled one popcount layer
-at a time in pull form.  Each cell ``(mask, nxt)`` reads its one
-predecessor mask ``mask ^ (1 << nxt)``: the minimum over same-color last
-jobs keeps ``k``, the minimum over other-color last jobs is shifted by one
-change.  Cells of a layer whose next job shares a color are computed
-together, and no two write the same cell.  Unreachable cells hold the
-``INF`` sentinel, and every written cell is clamped at it; the magnitude
-bound of :class:`~calsched.core.Instance` keeps every real sum exact below
-it.  Entries with ``k`` up to some cap do not depend on the table's width,
-so :func:`pareto_front` builds one table at the merged maximum and answers
-the trade-off table and every budget from it.
+The subset DP is one dense numpy table ``D[mask, last, k]``: the least
+total change over orderings of the jobs in ``mask`` that end at ``last``
+with exactly ``k`` color changes.  It is filled one popcount layer at a
+time in pull form.  Each cell ``(mask, nxt)`` reads its one predecessor
+mask ``mask ^ (1 << nxt)``: the minimum over same-color last jobs keeps
+``k``, the minimum over other-color last jobs is shifted by one change.
+Cells of a layer whose next job shares a color are computed together, and
+no two write the same cell.  Unreachable cells hold a sentinel, and no
+cell exceeds it: the same-color minimum includes ``nxt`` itself, whose
+predecessor cell ``(mask ^ (1 << nxt), nxt)`` is never reachable and is
+0 away.  :func:`table_dtype` picks the table's dtype and sentinel from the
+instance: ``int32`` with sentinel ``2**30`` when the job count times the
+temperature span stays below it, which holds for every realistic input
+and halves the table, else ``int64`` with ``core.INF``, below which the
+magnitude bound of :class:`~calsched.core.Instance` keeps every real sum
+exact.  Entries with ``k`` up to some cap do not depend on the table's
+width, so :func:`pareto_front` builds one table at the merged maximum and
+answers the trade-off table and every budget from it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ PERMUTATION_MAX_JOBS = 10
 DEFAULT_SCHEDULE_CAP = 64
 
 # Masks per subset-DP step are capped so that no temporary holds more than
-# about this many cells (4 MB); the table itself then dominates memory.
+# about this many cells (2 MiB in int32, 4 MiB in int64); the table itself
+# then dominates memory.
 _BLOCK_CELLS = 1 << 19
 
 
@@ -57,6 +63,20 @@ def oracle_job_limit() -> int:
         raise OracleSizeError(
             f"CALSCHED_ORACLE_MAX_N must be an integer, got {raw!r}"
         ) from None
+
+
+def table_dtype(n: int, span: int) -> tuple[type[np.signedinteger], int]:
+    """The narrowest exact dtype of the subset-DP table over ``n`` jobs whose
+    temperatures span ``span``, and its unreachable sentinel.
+
+    Once ``n * span < 2**30``, an ordering of any subset costs at most
+    ``(n - 1) * span``, below the sentinel ``2**30``; no cell exceeds the
+    sentinel, and a pull adds one weight of at most ``span`` to a cell, so
+    no value reaches ``2**31`` and ``int32`` is exact.
+    """
+    if n * span < 1 << 30:
+        return np.int32, 1 << 30
+    return np.int64, INF
 
 
 def _check_size(instance: Instance) -> None:
@@ -145,14 +165,18 @@ def _pull(
     return reach.min(axis=0)
 
 
-def _subset_dp_table(temps: list[int], colors: list[int], cap: int) -> np.ndarray:
-    """``D[mask, last, k]``, shape ``(2^n, n, cap + 1)``; see the module notes."""
+def _subset_dp_table(
+    temps: list[int], colors: list[int], cap: int
+) -> tuple[np.ndarray, int]:
+    """``D[mask, last, k]``, shape ``(2^n, n, cap + 1)``, and the sentinel its
+    unreachable cells hold; see the module notes."""
     n = len(temps)
+    dtype, sentinel = table_dtype(n, max(temps) - min(temps))
     t = np.array(temps, dtype=np.int64)
-    weights = np.abs(t[:, None] - t[None, :])
+    weights = np.abs(t[:, None] - t[None, :]).astype(dtype)
     color = np.array(colors)
     jobs = np.arange(n)
-    table = np.full((1 << n, n, cap + 1), INF, dtype=np.int64)
+    table = np.full((1 << n, n, cap + 1), sentinel, dtype=dtype)
     table[1 << jobs, jobs, 0] = 0
     rows = table.reshape(-1, cap + 1)  # row mask * n + last
     masks = np.arange(1 << n)
@@ -169,13 +193,14 @@ def _subset_dp_table(temps: list[int], colors: list[int], cap: int) -> np.ndarra
                 at, pick = np.nonzero(block[:, None] >> own & 1)
                 grown, nxt = block[at], own[pick]
                 base = (grown ^ (1 << nxt)) * n
-                # own holds nxt itself, whose predecessor cell is INF
+                # own holds nxt itself, whose predecessor cell is the
+                # sentinel at weight 0, so no cell exceeds the sentinel
                 cell = _pull(rows, own, base, weights[own][:, nxt])
                 if foreign.size and cap:
                     shifted = _pull(rows, foreign, base, weights[foreign][:, nxt])
                     np.minimum(cell[:, 1:], shifted[:, :-1], out=cell[:, 1:])
-                table[grown, nxt] = np.minimum(cell, INF, out=cell)
-    return table
+                table[grown, nxt] = cell
+    return table, sentinel
 
 
 def _collect_dp_schedules(
@@ -249,11 +274,11 @@ def _solve(
     instance: Instance,
     mode: str,
     schedule_cap: int,
-    table: np.ndarray | None,
+    built: tuple[np.ndarray, int] | None,
     max_color_changes: int,
 ) -> OracleResult:
-    """Optimum under a budget by ``mode``; ``subset_dp`` reads ``table``,
-    built here at the budget when ``None``."""
+    """Optimum under a budget by ``mode``; ``subset_dp`` reads the table and
+    sentinel ``built``, built here at the budget when ``None``."""
     temps, colors, ids = _prepare(instance)
     cap = min(max_color_changes, max_merged_color_changes(instance))
     if cap < 0:
@@ -262,10 +287,11 @@ def _solve(
     if mode == "permutation":
         best, orders, truncated = _by_permutations(temps, colors, cap, schedule_cap)
     else:
-        if table is None:
-            table = _subset_dp_table(temps, colors, cap)
+        if built is None:
+            built = _subset_dp_table(temps, colors, cap)
+        table, sentinel = built
         best = int(table[-1, :, : cap + 1].min())
-        if best >= INF:
+        if best >= sentinel:
             best, orders, truncated = None, [], False
         else:
             orders, truncated = _collect_dp_schedules(
@@ -312,10 +338,11 @@ def pareto_front(
     """
     mode = _resolve_mode(instance, "auto")
     temps, colors, _ = _prepare(instance)
-    table = _subset_dp_table(temps, colors, max_merged_color_changes(instance))
+    built = _subset_dp_table(temps, colors, max_merged_color_changes(instance))
+    table, sentinel = built
     exact = table[-1].min(axis=0).tolist()
-    front = pareto_table(instance, [None if v >= INF else v for v in exact])
-    return front, partial(_solve, instance, mode, DEFAULT_SCHEDULE_CAP, table)
+    front = pareto_table(instance, [None if v >= sentinel else v for v in exact])
+    return front, partial(_solve, instance, mode, DEFAULT_SCHEDULE_CAP, built)
 
 
 def enumerate_pareto(instance: Instance) -> list[tuple[int, int | None]]:

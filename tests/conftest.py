@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import strategies as st
 
+import calsched
 from calsched import Schedule, build_instance
 
 # A ten-job, three-color instance whose capped optimum is known exactly
@@ -15,6 +21,20 @@ THREE_COLOR_OPTIMUM = (
     "c2t0", "c2t2", "c0t2", "c0t1", "c1t1",
     "c1t3", "c0t3", "c0t4", "c2t4", "c2t5",
 )
+
+
+def child_peak_rss_mb(source):
+    """Peak RSS in MB of a fresh Python process that runs ``source``."""
+    src = os.path.dirname(os.path.dirname(calsched.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    source = textwrap.dedent(source) + (
+        "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", source],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+    return int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
 
 
 def three_color_instance():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calsched import (
     Schedule,
@@ -21,7 +22,7 @@ from calsched import (
 from calsched import brute_force_optimal, cli, formats, oracle, solver
 from calsched.cli import EXIT_INTERNAL, main
 from calsched.formats import detect_format, plot_svg, plot_tsv
-from conftest import TEN_JOB_THREE_COLOR, make_two_color, two_color_instances
+from conftest import TEN_JOB_THREE_COLOR, job_records, make_two_color, two_color_instances
 
 
 class TestParsing:
@@ -106,12 +107,30 @@ class TestPlot:
 
     def test_tsv_and_svg_render(self):
         inst = make_two_color([1, 4], [2, 3])
-        rows = emit_plot(Schedule(instance=inst, order=("w1", "b1", "b2", "w2")))
-        tsv = plot_tsv(rows)
+        schedule = Schedule(instance=inst, order=("w1", "b1", "b2", "w2"))
+        tsv = plot_tsv(schedule)
         assert tsv.splitlines()[0] == "cumulative_T\ttemperature\tcolor\tid"
         assert tsv.splitlines()[1] == "0\t1\t0\tw1"
-        svg = plot_svg(rows)
+        svg = plot_svg(emit_plot(schedule))
         assert svg.startswith("<svg") and svg.count("<circle") == 4
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tsv_lines_are_the_formatted_rows(self, data):
+        # Eighths give fractional temperatures; few values, so duplicates merge.
+        records = data.draw(job_records(max_colors=3, max_jobs=9, max_temp=12))
+        instance = build_instance([(i, t / 8, c) for i, t, c in records])
+        schedule = Schedule.from_jobs(instance, data.draw(st.permutations(instance.jobs)))
+        rows = emit_plot(schedule)
+        assert len(rows) == instance.total_jobs
+        expected = [
+            f"{format_temperature(r.cumulative)}\t{format_temperature(r.temperature)}\t{r.color}\t{r.job_id}"
+            for r in rows
+        ]
+        labels = {}
+        for _ in range(2):  # a fresh label cache, then a filled one
+            lines = plot_tsv(schedule, labels).splitlines()
+            assert lines == ["cumulative_T\ttemperature\tcolor\tid", *expected]
 
 
 class TestGenerator:
@@ -261,7 +280,7 @@ class TestCli:
         for k, value in pareto_sweep(instance):
             if value is not None:
                 schedule = shortest_schedule(instance, k).schedule
-                expected[f"pareto_k{k}.tsv"] = plot_tsv(emit_plot(schedule))
+                expected[f"pareto_k{k}.tsv"] = plot_tsv(schedule)
         written = {f.name: f.read_text(encoding="utf-8") for f in plots.iterdir()}
         assert written == expected
 
@@ -292,7 +311,7 @@ class TestCli:
         for k, value in doc["pareto"]:
             if value is not None:
                 schedule = brute_force_optimal(instance, k).optimal_schedules[0]
-                expected[f"pareto_k{k}.tsv"] = plot_tsv(emit_plot(schedule))
+                expected[f"pareto_k{k}.tsv"] = plot_tsv(schedule)
         written = {f.name: f.read_text(encoding="utf-8") for f in plots.iterdir()}
         assert written == expected
 
@@ -306,8 +325,10 @@ class TestCli:
         path = tmp_path / "jobs.csv"
         path.write_text(serialize_instance(instance, "csv"), encoding="utf-8")
         formatted, labelled = [], []
-        real_emit = cli.emit_plot
-        monkeypatch.setattr(cli, "emit_plot", lambda s: formatted.append(s.order) or real_emit(s))
+        real_tsv = cli.plot_tsv
+        monkeypatch.setattr(
+            cli, "plot_tsv", lambda s, labels: formatted.append(s.order) or real_tsv(s, labels)
+        )
         monkeypatch.setattr(
             formats, "format_temperature", lambda v: labelled.append(v) or format_temperature(v)
         )

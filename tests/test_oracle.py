@@ -1,5 +1,7 @@
 import random
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,10 +20,11 @@ from calsched import (
     total_temperature_change,
 )
 from calsched import oracle
-from calsched.core import MAGNITUDE_LIMIT, max_merged_color_changes
+from calsched.core import INF, MAGNITUDE_LIMIT, max_merged_color_changes
 from calsched.oracle import OracleSizeError, oracle_job_limit
 from conftest import (
     THREE_COLOR_OPTIMUM,
+    child_peak_rss_mb,
     job_records,
     make_two_color,
     two_color_instances,
@@ -135,6 +138,8 @@ class TestModes:
             tuple(Job(f"j{i}", t, c) for i, (t, c) in enumerate(temps))
         )
         assert len(instance.jobs) * top == MAGNITUDE_LIMIT
+        temps, colors, _ = oracle._prepare(instance)
+        assert oracle._subset_dp_table(temps, colors, 1)[0].dtype == np.int64
         table = dict(enumerate_pareto(instance))
         for cap in range(max_merged_color_changes(instance) + 1):
             a = brute_force_optimal(instance, cap, mode="permutation")
@@ -163,6 +168,97 @@ class TestSizeLimits:
             brute_force_optimal(inst, 3, mode="subset_dp")
         monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "12")
         assert brute_force_optimal(inst, 3).feasible
+
+
+def _answers(instance, schedule_cap=oracle.DEFAULT_SCHEDULE_CAP):
+    """The trade-off table and every budget's subset-DP result."""
+    caps = range(-1, max_merged_color_changes(instance) + 2)
+    return enumerate_pareto(instance), [
+        brute_force_optimal(instance, cap, "subset_dp", schedule_cap) for cap in caps
+    ]
+
+
+@contextmanager
+def _int64_tables():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "table_dtype", lambda n, span: (np.int64, INF))
+        yield
+
+
+def _int64_answers(instance, schedule_cap=oracle.DEFAULT_SCHEDULE_CAP):
+    with _int64_tables():
+        return _answers(instance, schedule_cap)
+
+
+class TestTableDtype:
+    @given(
+        job_records(min_colors=1, max_colors=4, max_jobs=10),
+        st.sampled_from([1, 7, 1000]),
+        st.sampled_from([1, 3, 64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_int32_table_equals_int64(self, records, scale, schedule_cap):
+        # Few distinct temperatures, so duplicates merge and optima tie.
+        instance = build_instance([(i, t * scale, c) for i, t, c in records])
+        temps, colors, _ = oracle._prepare(instance)
+        cap = max_merged_color_changes(instance)
+        narrow, unreachable = oracle._subset_dp_table(temps, colors, cap)
+        assert narrow.dtype == np.int32 and unreachable == 1 << 30
+        with _int64_tables():
+            wide, _ = oracle._subset_dp_table(temps, colors, cap)
+        assert wide.dtype == np.int64
+        assert (narrow <= unreachable).all() and (wide <= INF).all()
+        assert np.array_equal(narrow == unreachable, wide == INF)
+        assert np.array_equal(narrow[narrow < unreachable], wide[wide < INF])
+        assert _answers(instance, schedule_cap) == _int64_answers(instance, schedule_cap)
+
+    @pytest.mark.parametrize(
+        "n,bound,dtype",
+        [(7, (1 << 30) - 1, np.int32), (8, 1 << 30, np.int64)],
+        ids=["2^30-1", "2^30"],
+    )
+    def test_int32_below_the_bound(self, n, bound, dtype):
+        span = bound // n
+        assert n * span == bound
+        # Three colors spread across the whole span, from 0 to span.
+        temps = [span * i // (n - 1) for i in range(n)]
+        instance = Instance(
+            tuple(Job(f"j{i}", t, (i * 2) % 3) for i, t in enumerate(temps))
+        )
+        assert len(instance.jobs) == n and max(temps) == span
+        assert oracle.table_dtype(n, span)[0] is dtype
+        table, _ = oracle._subset_dp_table(*oracle._prepare(instance)[:2], n - 1)
+        assert table.dtype == dtype
+        assert _answers(instance) == _int64_answers(instance)
+
+    def test_oracle_workload_table_is_int32(self):
+        # The benchmark's oracle shape: 5+4+4 jobs, thousandths up to 1000.
+        rng = random.Random(13)
+        records = [
+            (f"c{c}j{i}", rng.randint(0, 10**6) / 1000, c)
+            for c, count in enumerate((5, 4, 4))
+            for i in range(count)
+        ]
+        instance = build_instance(records)
+        temps, colors, _ = oracle._prepare(instance)
+        table, _ = oracle._subset_dp_table(temps, colors, max_merged_color_changes(instance))
+        assert table.dtype == np.int32
+        assert table.nbytes == (1 << 13) * 13 * 13 * 4
+
+    def test_n16_front_peak_memory(self):
+        # A three-color n=16 front and its top-budget solve in a fresh
+        # process; with an int64 table the process peaks near 163 MB.
+        peak_mb = child_peak_rss_mb(
+            """
+            import random
+            from calsched import build_instance, oracle
+            rng = random.Random(2024)
+            records = [(f"j{i}", rng.randint(0, 10**6) / 1000, i % 3) for i in range(16)]
+            front, solve = oracle.pareto_front(build_instance(records))
+            assert len(front) == 16 and solve(front[-1][0]).feasible
+            """
+        )
+        assert peak_mb < 128, peak_mb
 
 
 class TestSmallInstances:

@@ -1,10 +1,6 @@
 import heapq
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
@@ -28,7 +24,13 @@ from calsched import (
 from calsched import solver
 from calsched.core import MAGNITUDE_LIMIT, max_merged_color_changes, pareto_table
 from calsched.solver import _band, pareto_front
-from conftest import job_records, make_two_color, three_color_instance, two_color_instances
+from conftest import (
+    child_peak_rss_mb,
+    job_records,
+    make_two_color,
+    three_color_instance,
+    two_color_instances,
+)
 from graph_view import arc_count, iter_arcs, iter_nodes, node_count
 
 
@@ -432,22 +434,14 @@ class TestCheckpoints:
     def test_full_500_sweep_peak_memory(self):
         # The whole 500+500 curve in a fresh process; with every priced
         # layer kept it needs more than 1 GB.
-        child = textwrap.dedent(
+        peak_mb = child_peak_rss_mb(
             """
-            import random, resource
+            import random
             from calsched import build_instance, pareto_sweep
             rng = random.Random(2024)
             records = [(f"j{i}", rng.randint(0, 10**6) / 1000, i % 2) for i in range(1000)]
             table = pareto_sweep(build_instance(records))
             assert len(table) == 1000 and table[-1][1] is not None
-            print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
             """
         )
-        src = os.path.dirname(os.path.dirname(solver.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-c", child],
-            capture_output=True, text=True, check=True, timeout=120, env=env,
-        )
-        peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
         assert peak_mb < 512, peak_mb
