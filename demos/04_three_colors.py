@@ -24,7 +24,7 @@ JOBS = [
 ]
 instance = build_instance([(f"c{c}t{t}", t, c) for t, c in JOBS])
 
-result = brute_force_optimal(instance, 4, mode="subset_dp")
+result = brute_force_optimal(instance, 4)
 print(
     f"optimum with at most 4 color changes: "
     f"{format_temperature(result.optimal_total_change)}"

@@ -1,10 +1,9 @@
 """Exhaustive reference solver for small instances (any number of colors).
 
-Two interchangeable modes: full permutation enumeration and a dynamic
-program over (consumed subset, last job, color changes used).  Both are
-exact for the capped problem and agree wherever both run; they exist to
-certify the polynomial graph solver and to explore instances with three or
-more colors, where no polynomial algorithm is known.
+A dynamic program over (consumed subset, last job, color changes used),
+exact for the capped problem.  It certifies the polynomial graph solver and
+explores instances with three or more colors, where no polynomial algorithm
+is known.
 
 The subset DP is one dense numpy table ``D[mask, last, k]``: the least
 total change over orderings of the jobs in ``mask`` that end at ``last``
@@ -24,6 +23,11 @@ magnitude bound of :class:`~calsched.core.Instance` keeps every real sum
 exact.  Entries with ``k`` up to some cap do not depend on the table's
 width, so :func:`pareto_front` builds one table at the merged maximum and
 answers the trade-off table and every budget from it.
+
+Optimal schedules are read back from the table in lexicographic order of
+their job indices (the instance's merged job order), so a result truncated
+at ``schedule_cap`` holds the first ``schedule_cap`` optima in that order,
+whatever the table's width.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import partial
-from itertools import permutations
 from typing import Callable
 
 import numpy as np
@@ -39,7 +42,6 @@ import numpy as np
 from .core import INF, Instance, Schedule, max_merged_color_changes, pareto_table
 
 DEFAULT_MAX_JOBS = 16
-PERMUTATION_MAX_JOBS = 10
 DEFAULT_SCHEDULE_CAP = 64
 
 # Masks per subset-DP step are capped so that no temporary holds more than
@@ -96,12 +98,17 @@ class OracleResult:
     optimal_total_change: int | None
     optimal_schedules: tuple[Schedule, ...]
     k_used: int
-    mode: str
     truncated: bool = False
 
     @property
     def feasible(self) -> bool:
         return self.optimal_total_change is not None
+
+    @property
+    def mode(self) -> str:
+        """The enumeration that produced the result; the subset DP is the
+        only one."""
+        return "subset_dp"
 
 
 def _prepare(instance: Instance) -> tuple[list[int], list[int], list[str]]:
@@ -110,49 +117,6 @@ def _prepare(instance: Instance) -> tuple[list[int], list[int], list[str]]:
     colors = [job.color for job in jobs]
     ids = [job.id for job in jobs]
     return temps, colors, ids
-
-
-def _by_permutations(
-    temps: list[int], colors: list[int], cap: int, schedule_cap: int
-) -> tuple[int | None, list[tuple[int, ...]], bool]:
-    n = len(temps)
-    best = INF
-    found: list[tuple[int, ...]] = []
-    overflow = False
-    for perm in permutations(range(n)):
-        total = 0
-        changes = 0
-        prev = perm[0]
-        ok = True
-        for cur in perm[1:]:
-            if colors[cur] != colors[prev]:
-                changes += 1
-                if changes > cap:
-                    ok = False
-                    break
-            total += abs(temps[cur] - temps[prev])
-            if total > best:
-                ok = False
-                break
-            prev = cur
-        if not ok:
-            continue
-        if total < best:
-            best = total
-            found = [perm]
-            overflow = False
-        elif total == best:
-            if len(found) <= schedule_cap:
-                found.append(perm)
-            else:
-                overflow = True
-    if best == INF:
-        return None, [], False
-    found.sort()
-    if len(found) > schedule_cap:
-        overflow = True
-        found = found[:schedule_cap]
-    return best, found, overflow
 
 
 def _pull(
@@ -203,7 +167,7 @@ def _subset_dp_table(
     return table, sentinel
 
 
-def _collect_dp_schedules(
+def _optimal_orders(
     table: np.ndarray,
     temps: list[int],
     colors: list[int],
@@ -211,94 +175,61 @@ def _collect_dp_schedules(
     best: int,
     schedule_cap: int,
 ) -> tuple[list[tuple[int, ...]], bool]:
-    """Enumerate every ordering realizing ``best`` within the change cap.
+    """The lexicographically first ``schedule_cap`` job index orders of cost
+    ``best`` within ``cap`` color changes, and whether more exist.
 
-    Visits final jobs ascending, then change counts ascending, then
-    predecessors ascending, so a truncated enumeration keeps the same
-    schedules whatever the table's width.
+    A reversed order keeps its cost and its change count, so ``D[rest, j, k]``
+    is also the least cost of the orders of ``rest`` that start at ``j``.  A
+    depth-first search extends a prefix by each unplaced job in ascending
+    index order, and enters a branch only when the least cost of its
+    completions within the remaining budget equals the remaining value.  No
+    branch dead-ends, and optima are met in lexicographic order, so the
+    search stops at the first one past ``schedule_cap``.
     """
     n = len(temps)
     found: list[tuple[int, ...]] = []
-    overflow = False
 
-    def walk(mask: int, last: int, k: int, value: int, suffix: tuple[int, ...]) -> None:
-        nonlocal overflow
-        if overflow:
-            return
-        if mask == 1 << last:
-            found.append((last,) + suffix)
-            if len(found) > schedule_cap:
-                overflow = True
-            return
-        rest = mask ^ (1 << last)
+    def extend(order: tuple[int, ...], rest: int, budget: int, value: int) -> bool:
+        if not rest:
+            found.append(order)
+            return len(found) > schedule_cap
         row = table[rest].tolist()
-        for prev in range(n):
-            if not rest >> prev & 1:
+        for nxt in range(n):
+            if not rest >> nxt & 1:
                 continue
-            pk = k - (1 if colors[prev] != colors[last] else 0)
-            if pk < 0:
+            left, need = budget, value
+            if order:
+                left -= colors[nxt] != colors[order[-1]]
+                need -= abs(temps[nxt] - temps[order[-1]])
+            if left < 0 or min(row[nxt][: left + 1]) != need:
                 continue
-            pv = value - abs(temps[prev] - temps[last])
-            if pv < 0 or row[prev][pk] != pv:
-                continue
-            walk(rest, prev, pk, pv, (last,) + suffix)
+            if extend(order + (nxt,), rest ^ 1 << nxt, left, need):
+                return True
+        return False
 
-    final = table[-1].tolist()
-    for last in range(n):
-        for k in range(cap + 1):
-            if final[last][k] == best:
-                walk(len(table) - 1, last, k, best, ())
-    found.sort()
-    if len(found) > schedule_cap:
-        overflow = True
-        found = found[:schedule_cap]
-    return found, overflow
-
-
-def _resolve_mode(instance: Instance, mode: str) -> str:
-    n = len(instance.jobs)
-    if mode == "auto":
-        mode = "permutation" if n <= 7 else "subset_dp"
-    if mode not in ("permutation", "subset_dp"):
-        raise ValueError(f"unknown oracle mode {mode!r}")
-    if mode == "permutation" and n > PERMUTATION_MAX_JOBS:
-        raise OracleSizeError(
-            f"permutation mode handles at most {PERMUTATION_MAX_JOBS} "
-            f"merged jobs, got {n}"
-        )
-    _check_size(instance)
-    return mode
+    truncated = extend((), len(table) - 1, cap, best)
+    return found[:schedule_cap], truncated
 
 
 def _solve(
     instance: Instance,
-    mode: str,
     schedule_cap: int,
     built: tuple[np.ndarray, int] | None,
     max_color_changes: int,
 ) -> OracleResult:
-    """Optimum under a budget by ``mode``; ``subset_dp`` reads the table and
-    sentinel ``built``, built here at the budget when ``None``."""
-    temps, colors, ids = _prepare(instance)
+    """Optimum under a budget, read from the table and sentinel ``built``;
+    the table is built here at the budget when ``built`` is ``None``."""
     cap = min(max_color_changes, max_merged_color_changes(instance))
     if cap < 0:
-        return OracleResult(None, (), k_used=max_color_changes, mode=mode)
-    best: int | None
-    if mode == "permutation":
-        best, orders, truncated = _by_permutations(temps, colors, cap, schedule_cap)
-    else:
-        if built is None:
-            built = _subset_dp_table(temps, colors, cap)
-        table, sentinel = built
-        best = int(table[-1, :, : cap + 1].min())
-        if best >= sentinel:
-            best, orders, truncated = None, [], False
-        else:
-            orders, truncated = _collect_dp_schedules(
-                table, temps, colors, cap, best, schedule_cap
-            )
-    if best is None:
-        return OracleResult(None, (), k_used=cap, mode=mode)
+        return OracleResult(None, (), k_used=max_color_changes)
+    temps, colors, ids = _prepare(instance)
+    if built is None:
+        built = _subset_dp_table(temps, colors, cap)
+    table, sentinel = built
+    best = int(table[-1, :, : cap + 1].min())
+    if best >= sentinel:
+        return OracleResult(None, (), k_used=cap)
+    orders, truncated = _optimal_orders(table, temps, colors, cap, best, schedule_cap)
     schedules = tuple(
         Schedule(instance=instance, order=tuple(ids[i] for i in order))
         for order in orders
@@ -307,7 +238,6 @@ def _solve(
         optimal_total_change=best,
         optimal_schedules=schedules,
         k_used=cap,
-        mode=mode,
         truncated=truncated,
     )
 
@@ -315,17 +245,20 @@ def _solve(
 def brute_force_optimal(
     instance: Instance,
     max_color_changes: int,
-    mode: str = "auto",
+    *,
     schedule_cap: int = DEFAULT_SCHEDULE_CAP,
 ) -> OracleResult:
     """Exact minimum total temperature change under a color-change cap.
 
-    ``mode`` is one of ``auto``, ``permutation`` (merged job count <= 10)
-    or ``subset_dp``; every mode refuses instances above
+    The optimal schedules are the lexicographically first ``schedule_cap``
+    optimal orders of the instance's job indices, in that order;
+    ``truncated`` says that more exist.  Refuses instances above
     :func:`oracle_job_limit`.
     """
-    mode = _resolve_mode(instance, mode)
-    return _solve(instance, mode, schedule_cap, None, max_color_changes)
+    if schedule_cap < 1:
+        raise ValueError(f"schedule_cap must be at least 1, got {schedule_cap}")
+    _check_size(instance)
+    return _solve(instance, schedule_cap, None, max_color_changes)
 
 
 def pareto_front(
@@ -336,13 +269,13 @@ def pareto_front(
     Both read one subset-DP table built at the merged maximum; the solve
     returns what ``brute_force_optimal(instance, k)`` returns.
     """
-    mode = _resolve_mode(instance, "auto")
+    _check_size(instance)
     temps, colors, _ = _prepare(instance)
     built = _subset_dp_table(temps, colors, max_merged_color_changes(instance))
     table, sentinel = built
     exact = table[-1].min(axis=0).tolist()
     front = pareto_table(instance, [None if v >= sentinel else v for v in exact])
-    return front, partial(_solve, instance, mode, DEFAULT_SCHEDULE_CAP, built)
+    return front, partial(_solve, instance, DEFAULT_SCHEDULE_CAP, built)
 
 
 def enumerate_pareto(instance: Instance) -> list[tuple[int, int | None]]:

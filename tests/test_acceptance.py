@@ -89,7 +89,7 @@ def fuzz_solutions(fuzz_corpus):
 def test_criterion_1_three_color_counterexample(ten_job_three_color):
     with criterion(1, "three-color capped optimum is 7, unique up to reversal, <10s"):
         start = time.perf_counter()
-        result = brute_force_optimal(ten_job_three_color, 4, mode="subset_dp")
+        result = brute_force_optimal(ten_job_three_color, 4)
         elapsed = time.perf_counter() - start
         assert result.optimal_total_change == 7000
         assert not result.truncated
@@ -108,7 +108,7 @@ def test_criterion_2_oracle_equivalence(fuzz_corpus, fuzz_solutions):
         checked = 0
         for instance, per_budget in zip(fuzz_corpus, solved):
             for cap, result in per_budget.items():
-                reference = brute_force_optimal(instance, cap, mode="subset_dp")
+                reference = brute_force_optimal(instance, cap)
                 assert result.total_change == reference.optimal_total_change, (
                     instance.jobs,
                     cap,

@@ -1,9 +1,10 @@
+import math
 import random
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calsched import (
@@ -29,11 +30,12 @@ from conftest import (
     make_two_color,
     two_color_instances,
 )
+from permutation_oracle import permutation_optimal
 
 
 class TestThreeColorInstance:
     def test_capped_optimum_is_unique_up_to_reversal(self, ten_job_three_color):
-        result = brute_force_optimal(ten_job_three_color, 4, mode="subset_dp")
+        result = brute_force_optimal(ten_job_three_color, 4)
         assert result.optimal_total_change == 7000
         assert not result.truncated
         orders = {s.order for s in result.optimal_schedules}
@@ -71,13 +73,7 @@ class TestModes:
     @settings(max_examples=30, deadline=None)
     def test_permutation_and_dp_agree(self, instance):
         for cap in range(0, len(instance.jobs)):
-            a = brute_force_optimal(instance, cap, mode="permutation")
-            b = brute_force_optimal(instance, cap, mode="subset_dp")
-            assert a.optimal_total_change == b.optimal_total_change
-            if not (a.truncated or b.truncated):
-                assert {s.order for s in a.optimal_schedules} == {
-                    s.order for s in b.optimal_schedules
-                }
+            assert brute_force_optimal(instance, cap) == permutation_optimal(instance, cap)
 
     @given(job_records(min_colors=3, max_colors=4), st.sampled_from([1, 3, 64]))
     @settings(max_examples=40, deadline=None)
@@ -85,47 +81,62 @@ class TestModes:
         instance = build_instance(records)
         index = {job.id: i for i, job in enumerate(instance.jobs)}
         for cap in range(max_merged_color_changes(instance) + 1):
-            a = brute_force_optimal(instance, cap, "permutation", schedule_cap)
-            b = brute_force_optimal(instance, cap, "subset_dp", schedule_cap)
-            assert a.optimal_total_change == b.optimal_total_change
-            if not (a.truncated or b.truncated):
-                assert [s.order for s in a.optimal_schedules] == [
-                    s.order for s in b.optimal_schedules
-                ]
-            for result in (a, b):
-                if not result.truncated:
-                    continue
-                assert len(result.optimal_schedules) == schedule_cap
-                orders = [
-                    tuple(index[i] for i in s.order) for s in result.optimal_schedules
-                ]
-                assert all(x < y for x, y in zip(orders, orders[1:]))
-                for s in result.optimal_schedules:
-                    assert total_temperature_change(s) == result.optimal_total_change
-                    assert color_changes(s) <= cap
+            result = brute_force_optimal(instance, cap, schedule_cap=schedule_cap)
+            assert result == permutation_optimal(instance, cap, schedule_cap)
+            if not result.truncated:
+                continue
+            assert len(result.optimal_schedules) == schedule_cap
+            orders = [
+                tuple(index[i] for i in s.order) for s in result.optimal_schedules
+            ]
+            assert all(x < y for x, y in zip(orders, orders[1:]))
+            for s in result.optimal_schedules:
+                assert total_temperature_change(s) == result.optimal_total_change
+                assert color_changes(s) <= cap
+
+    @given(job_records(min_colors=1, max_colors=4, max_jobs=9, max_temp=2))
+    @example(
+        [(f"j{i}", t, c) for i, (t, c) in enumerate(
+            [(0, 2), (2, 0), (0, 0), (1, 2), (1, 3), (1, 1), (0, 1), (2, 2)]
+        )]
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_truncation_keeps_a_prefix(self, records):
+        # Few distinct temperatures, so optima tie.  The explicit example has
+        # eight merged jobs and 206 optima over its budgets.
+        instance = build_instance(records)
+        for budget in range(max_merged_color_changes(instance) + 1):
+            full = brute_force_optimal(instance, budget, schedule_cap=math.factorial(9))
+            assert not full.truncated
+            orders = [s.order for s in full.optimal_schedules]
+            for cap in range(1, len(orders) + 1):
+                result = brute_force_optimal(instance, budget, schedule_cap=cap)
+                assert [s.order for s in result.optimal_schedules] == orders[:cap]
+                assert result.truncated == (len(orders) > cap)
+                assert (result.optimal_total_change, result.k_used) == (
+                    full.optimal_total_change, full.k_used
+                )
 
     def test_truncated_golden(self):
-        # Pinned from the nested-list subset DP that the numpy table
-        # replaced.  Truncation keeps the first schedule_cap + 1 schedules
-        # in walk order, then sorts: the sorted first four of all six
-        # optima differ, so this pins the walk order too.
+        # A truncated result keeps the lexicographically first schedule_cap
+        # optima of the merged job indices: here the first four of six.
         records = [
             ("j0", 2, 0), ("j1", 1, 1), ("j2", 3, 2), ("j3", 0, 0), ("j4", 0, 1),
             ("j5", 4, 2), ("j6", 0, 0), ("j7", 2, 1), ("j8", 4, 2),
         ]
         instance = build_instance(records)
-        result = brute_force_optimal(instance, 4, mode="subset_dp", schedule_cap=4)
+        result = brute_force_optimal(instance, 4, schedule_cap=4)
         golden = [
+            ("j3", "j4", "j1", "j0", "j7", "j2", "j5"),
             ("j3", "j4", "j1", "j7", "j0", "j2", "j5"),
             ("j4", "j3", "j1", "j7", "j0", "j2", "j5"),
             ("j5", "j2", "j0", "j7", "j1", "j3", "j4"),
-            ("j5", "j2", "j0", "j7", "j1", "j4", "j3"),
         ]
         assert (result.optimal_total_change, result.k_used, result.truncated) == (4000, 4, True)
         assert [s.order for s in result.optimal_schedules] == golden
-        everything = brute_force_optimal(instance, 4, mode="subset_dp")
+        everything = brute_force_optimal(instance, 4)
         assert not everything.truncated and len(everything.optimal_schedules) == 6
-        assert sorted(s.order for s in everything.optimal_schedules)[:4] != golden
+        assert sorted(s.order for s in everything.optimal_schedules)[:4] == golden
 
     def test_magnitude_limit_keeps_sums_exact(self):
         # Three colors at exactly the largest magnitude an instance may have.
@@ -142,39 +153,35 @@ class TestModes:
         assert oracle._subset_dp_table(temps, colors, 1)[0].dtype == np.int64
         table = dict(enumerate_pareto(instance))
         for cap in range(max_merged_color_changes(instance) + 1):
-            a = brute_force_optimal(instance, cap, mode="permutation")
-            b = brute_force_optimal(instance, cap, mode="subset_dp")
+            a = permutation_optimal(instance, cap)
+            b = brute_force_optimal(instance, cap)
             assert type(b.optimal_total_change) is type(a.optimal_total_change)
-            assert a.optimal_total_change == b.optimal_total_change == table[cap]
+            assert a == b and b.optimal_total_change == table[cap]
         assert table[cap] == top
-
-    def test_unknown_mode_rejected(self):
-        inst = make_two_color([1], [2])
-        with pytest.raises(ValueError):
-            brute_force_optimal(inst, 1, mode="magic")
 
 
 class TestSizeLimits:
-    def test_permutation_cap(self):
-        inst = make_two_color(list(range(1, 9)), list(range(1, 5)))
-        with pytest.raises(OracleSizeError):
-            brute_force_optimal(inst, 3, mode="permutation")
-
     def test_dp_cap_and_env_override(self, monkeypatch):
         inst = make_two_color(list(range(1, 9)), list(range(1, 5)))
         monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "10")
         assert oracle_job_limit() == 10
         with pytest.raises(OracleSizeError):
-            brute_force_optimal(inst, 3, mode="subset_dp")
+            brute_force_optimal(inst, 3)
         monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "12")
         assert brute_force_optimal(inst, 3).feasible
+
+    @pytest.mark.parametrize("schedule_cap", [0, -1])
+    def test_schedule_cap_below_one_rejected(self, schedule_cap):
+        inst = make_two_color([1, 4], [2, 3])
+        with pytest.raises(ValueError, match="schedule_cap"):
+            brute_force_optimal(inst, 1, schedule_cap=schedule_cap)
 
 
 def _answers(instance, schedule_cap=oracle.DEFAULT_SCHEDULE_CAP):
     """The trade-off table and every budget's subset-DP result."""
     caps = range(-1, max_merged_color_changes(instance) + 2)
     return enumerate_pareto(instance), [
-        brute_force_optimal(instance, cap, "subset_dp", schedule_cap) for cap in caps
+        brute_force_optimal(instance, cap, schedule_cap=schedule_cap) for cap in caps
     ]
 
 
