@@ -20,6 +20,7 @@ from .core import (
     ValidationError,
     color_changes,
     format_temperature,
+    parse_temperature,
 )
 from .formats import (
     detect_format,
@@ -158,8 +159,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValidationError("schedule file must hold an id array or a result document")
     report = verify_schedule(instance, [str(i) for i in ids])
     if claimed_t is not None:
+        # T by value, so "4.0" and 4 match a cost of 4; C only as an integer.
         report["matches_claimed"] = (
-            str(claimed_t) == report["T"] and claimed_c == report["C"]
+            parse_temperature(claimed_t) == parse_temperature(report["T"])
+            and type(claimed_c) is int
+            and claimed_c == report["C"]
         )
     print(json.dumps(report, indent=2))
     if report.get("matches_claimed") is False:

@@ -171,15 +171,8 @@ def build_instance(records: Iterable[tuple[object, object, object]]) -> Instance
     """
     merged: dict[tuple[int, int], list[str]] = {}
     order: list[tuple[int, int]] = []
-    for record_id, raw_temp, raw_color in records:
-        job_id = str(record_id)
-        temp = parse_temperature(raw_temp)
-        try:
-            color = int(raw_color)
-        except (TypeError, ValueError):
-            raise ValidationError(f"job {job_id}: invalid color {raw_color!r}") from None
-        if color < 0:
-            raise ValidationError(f"job {job_id}: color must be nonnegative")
+    for record in records:
+        job_id, temp, color = parse_record(*record)
         key = (temp, color)
         if key not in merged:
             merged[key] = []
@@ -190,6 +183,27 @@ def build_instance(records: Iterable[tuple[object, object, object]]) -> Instance
         for (temp, color), members in ((key, merged[key]) for key in order)
     )
     return Instance(jobs=jobs)
+
+
+def parse_record(record_id: object, raw_temp: object, raw_color: object) -> tuple[str, int, int]:
+    """One record as ``(id, scaled temperature, color)``.
+
+    A color is a nonnegative integer or a string of one; bools and
+    fractional numbers are rejected rather than rounded.
+    """
+    job_id = str(record_id)
+    temp = parse_temperature(raw_temp)
+    try:
+        color = int(raw_color)
+    except (TypeError, ValueError, OverflowError):
+        color = None
+    # int() reads True as 1 and rounds 1.7 down; neither is a color.
+    fractional = not isinstance(raw_color, str) and color != raw_color
+    if color is None or isinstance(raw_color, bool) or fractional:
+        raise ValidationError(f"job {job_id}: invalid color {raw_color!r}")
+    if color < 0:
+        raise ValidationError(f"job {job_id}: color must be nonnegative")
+    return job_id, temp, color
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Interchange formats:
 
-* CSV: ``id,temperature,color`` rows (UTF-8, LF); a header row is
-  detected automatically.
+* CSV: ``id,temperature,color`` rows (UTF-8, LF); line 1 may be a
+  header, which has a temperature that is not a number and a color that
+  is not an integer.
 * JSON: array of ``{"id", "temperature", "color"}`` objects.
 * Plot TSV: ``cumulative<TAB>temperature<TAB>color<TAB>id`` rows in the
   paper-style cumulative-temperature layout: the running total change is
@@ -27,6 +28,7 @@ from .core import (
     ValidationError,
     build_instance,
     format_temperature,
+    parse_record,
 )
 from .transforms import check_canonical_form
 
@@ -36,15 +38,18 @@ def detect_format(text: str) -> str:
     return "json" if stripped.startswith(("[", "{")) else "csv"
 
 
-def _looks_like_header(row: list[str]) -> bool:
-    if len(row) < 3:
-        return True
+def _parses(convert: type, text: str) -> bool:
     try:
-        float(row[1])
-        int(row[2])
+        convert(text)
     except ValueError:
-        return True
-    return False
+        return False
+    return True
+
+
+def _is_header(row: list[str]) -> bool:
+    """A first row is a header only when it has three fields, a temperature
+    that is not a number and a color that is not an integer."""
+    return len(row) == 3 and not _parses(float, row[1]) and not _parses(int, row[2])
 
 
 def parse_instance(text: str, fmt: str) -> Instance:
@@ -58,24 +63,30 @@ def parse_instance(text: str, fmt: str) -> Instance:
 
 def _parse_csv(text: str) -> Instance:
     records = []
+    line_nos = []
     reader = csv.reader(io.StringIO(text))
     for line_no, row in enumerate(reader, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if line_no == 1 and _looks_like_header(row):
+        if line_no == 1 and _is_header(row):
             continue
         if len(row) != 3:
             raise ValidationError(
                 f"line {line_no}: expected 3 fields (id,temperature,color), got {len(row)}"
             )
-        try:
-            records.append((row[0].strip(), row[1].strip(), row[2].strip()))
-        except ValueError as exc:
-            raise ValidationError(f"line {line_no}: {exc}") from None
+        records.append((row[0].strip(), row[1].strip(), row[2].strip()))
+        line_nos.append(line_no)
     try:
         return build_instance(records)
-    except ValidationError as exc:
-        raise ValidationError(str(exc)) from None
+    except ValidationError:
+        # Name the first line whose own fields are bad, if one is; errors of
+        # the instance as a whole have no line.
+        for line_no, record in zip(line_nos, records):
+            try:
+                parse_record(*record)
+            except ValidationError as exc:
+                raise ValidationError(f"line {line_no}: {exc}") from None
+        raise
 
 
 def _parse_json(text: str) -> Instance:

@@ -2,18 +2,28 @@
 
 Canonical-form schedules consume each color's temperature-sorted job list
 as a sequence of consecutive runs taken in order, alternating colors.
-The search graph encodes exactly those schedules:
+The search graph encodes exactly those schedules.  The two colors play
+the same part in it, so every rule below is stated once for a color ``c``,
+with ``o = 1 - c`` the other:
 
-* an entry chain per color prices the first block (a prefix of one
-  color's sorted list, runnable in either direction);
-* each layer holds one grid per color; a node ``(layer, color, i, j)``
-  means "i jobs of color 0 and j jobs of color 1 are scheduled, the open
-  block has ``color`` and ends at that color's i-th (or j-th) job, and
-  ``layer`` color changes have happened";
-* exit chains per layer price the final block (the suffix of one color,
-  runnable in either direction);
-* the target for ``k`` color changes collects the exit of layer ``k-1``;
+* an entry chain prices a first block of color ``c``: a prefix of c's
+  sorted list, runnable in either direction;
+* each layer holds one grid per color; a node ``(layer, c, i, j)`` means
+  "i jobs of color 0 and j jobs of color 1 are scheduled, the open block
+  has color ``c`` and ends at c's last scheduled job, and ``layer`` color
+  changes have happened".  A color-c grid reads only the color-o grid of
+  the layer below;
+* an exit chain per layer prices a final block of color ``c``: a suffix of
+  c's sorted list, runnable in either direction;
+* the target for ``k`` color changes collects the exits of layer ``k-1``;
   the target for one change (two blocks) joins the two entry chains.
+
+Every grid and per-cell weight array is stored ``(n0, n1)`` in C order,
+for both colors.  Code written once for color ``c`` reads an array through
+:func:`_own`, a view indexed by c's job first: the array itself for color
+0 and its ``.T`` for color 1.  No array is stored transposed, so each
+numpy operation touches memory in the same order as code written out per
+color would.
 
 All weights are nonnegative scaled-integer temperature gaps, the graph is
 acyclic, and one pass of relaxations in layer order yields the distances
@@ -77,6 +87,8 @@ from .core import (
     total_temperature_change,
 )
 
+_PAIRS = ((0, 1), (1, 0))  # (c, o): each color, then the other one
+
 
 @dataclass(frozen=True)
 class SolveResult:
@@ -96,7 +108,9 @@ class _Walk:
     layer: int  # the cursor's layer; a walk starts on its top layer
     target: int
     runs_rev: list[tuple[int, int, int]] = field(default_factory=list)  # (color, lo, hi)
-    cursor: tuple[int, int, int] | None = None  # (color, i, j) on ``layer``
+    # (c, x, y) on ``layer``: the open block has color c and ends at c's job
+    # x, and the other color's last job so far is y.
+    cursor: tuple[int, int, int] | None = None
     first_run: tuple[int, int, int] | None = None  # set once the walk is done
 
 
@@ -116,11 +130,11 @@ class SearchGraph:
 
     @property
     def jobs0(self) -> tuple[Job, ...]:
-        return self.instance.sorted_jobs(self.instance.colors[0])
+        return self._jobs_of(0)
 
     @property
     def jobs1(self) -> tuple[Job, ...]:
-        return self.instance.sorted_jobs(self.instance.colors[1])
+        return self._jobs_of(1)
 
     @property
     def n0(self) -> int:
@@ -130,20 +144,28 @@ class SearchGraph:
     def n1(self) -> int:
         return len(self.jobs1)
 
+    def _jobs_of(self, color: int) -> tuple[Job, ...]:
+        return self.instance.sorted_jobs(self.instance.colors[color])
+
     # -- dense distance computation ------------------------------------
 
     def _distances(self) -> dict:
         """Per-graph constants and the state of the distance pass.
 
-        Grid distances are stored in the shifted frame: a color-0 grid holds
-        distance minus ``t0[i]``, a color-1 grid distance minus ``t1[j]``
-        (the last temperature of the open block).  Extending the open block
-        then costs nothing, so a layer is the previous layer's grid of the
-        other color plus a fixed weight per cell, followed by one running
-        minimum along the open block's color.  The weight of a color change
-        is the junction cost minus the temperature difference between the
-        old and new block ends: ``2 * max(t1[j] - t0[i], 0)`` into a
-        color-0 block, ``2 * max(t0[i] - t1[j], 0)`` into a color-1 block.
+        Below, ``c`` is either color, ``o = 1 - c`` the other, and ``t[c]``
+        color c's sorted temperatures.  A color-c grid holds, at the node
+        whose open block ends at c's job ``x``, the distance minus ``t[c][x]``
+        (the shifted frame).  Extending the open block then costs nothing,
+        so a layer's color-c grid is the previous layer's color-o grid plus
+        a fixed weight per cell, followed by one running minimum along c's
+        axis.  That weight, ``into[c]``, is the junction cost from o's job
+        ``y`` to c's job ``x`` minus the temperature difference between the
+        old and new block ends: ``2 * max(t[o][y] - t[c][x], 0)``.
+        ``exit[c][a]`` is what a final block of c's jobs ``a+1 ..`` adds to
+        the shifted distance of the color-o cell at o's last job, and
+        ``entry[c][y]`` is the span of a first block of c's jobs ``0 .. y``.
+        ``into[c]`` is stored ``(n0, n1)`` like the grids and read through
+        :func:`_own`.
 
         Layer ``l`` stores only its band (see :func:`_band`).  ``kept``
         maps layer 1 and every ``stride``-th layer to its pair of grids;
@@ -155,37 +177,29 @@ class SearchGraph:
         """
         if self._dp:
             return self._dp
+        jobs = [self._jobs_of(c) for c in (0, 1)]
         # Weights and targets depend only on temperature differences, so
         # this shift is exact; it bounds the band values for grid_dtype.
-        low = min(self.jobs0[0].temperature, self.jobs1[0].temperature)
-        t0 = np.array([j.temperature - low for j in self.jobs0], dtype=np.int64)
-        t1 = np.array([j.temperature - low for j in self.jobs1], dtype=np.int64)
+        low = min(js[0].temperature for js in jobs)
+        t = tuple(np.array([j.temperature - low for j in js], dtype=np.int64) for js in jobs)
         span = temperature_span(self.instance.jobs)
         dtype = grid_dtype(self.max_changes, span)
-        entry0 = t0 - t0[0]
-        entry1 = t1 - t1[0]
-        gap = t1[None, :] - t0[:, None]
-        borders = (
-            min(abs(int(a) - int(b)) for a in (t0[0], t0[-1]) for b in (t1[0], t1[-1]))
-        )
-        tau1 = min(
-            int(entry0[-1]) + borders + int(t1[-1] - t1[0]),
-            int(entry1[-1]) + borders + int(t0[-1] - t0[0]),
-        )
+        entry = tuple(tc - tc[0] for tc in t)
+        # One change: both whole colors, joined at the closest pair of ends.
+        borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
+        tau1 = int(entry[0][-1] + entry[1][-1]) + borders
         self._dp.update(
-            t0=t0,
-            t1=t1,
-            entry0=entry0,
-            entry1=entry1,
-            into0=(2 * np.maximum(gap, 0)).astype(dtype),
-            into1=(2 * np.maximum(-gap, 0)).astype(dtype),
-            # Entry a (b): what a final block of color 0's jobs a+1.. (color
-            # 1's jobs b+1..) adds to the shifted distance of the grid cell
-            # at the other color's last job.
-            exit0=t1[-1] + np.minimum(np.abs(t0[1:] - t1[-1]), abs(int(t0[-1] - t1[-1])))
-            + (t0[-1] - t0[1:]),
-            exit1=t0[-1] + np.minimum(np.abs(t1[1:] - t0[-1]), abs(int(t1[-1] - t0[-1])))
-            + (t1[-1] - t1[1:]),
+            t=t,
+            entry=entry,
+            into=tuple(
+                np.ascontiguousarray(_own(2 * np.maximum(t[o][None, :] - t[c][:, None], 0), c), dtype)
+                for c, o in _PAIRS
+            ),
+            exit=tuple(
+                t[o][-1] + np.minimum(np.abs(t[c][1:] - t[o][-1]), abs(int(t[c][-1] - t[o][-1])))
+                + (t[c][-1] - t[c][1:])
+                for c, o in _PAIRS
+            ),
             span=span,
             dtype=dtype,
             stride=checkpoint_stride(self.max_changes - 1),
@@ -207,14 +221,7 @@ class SearchGraph:
         dp = self._dp
         layer = len(dp["tau"]) - 1
         if layer == 1:
-            # One entry block per color; every cell of a row (column) shares it.
-            t0, t1 = dp["t0"], dp["t1"]
-            row = dp["entry1"] + np.minimum(np.abs(t0[0] - t1), abs(int(t0[0] - t1[0]))) - t0[0]
-            col = dp["entry0"] + np.minimum(np.abs(t1[0] - t0), abs(int(t1[0] - t0[0]))) - t1[0]
-            grids = dp["kept"][1] = (
-                np.broadcast_to(row.astype(dp["dtype"])[None, :], (self.n0, self.n1)),
-                np.broadcast_to(col.astype(dp["dtype"])[:, None], (self.n0, self.n1)),
-            )
+            grids = dp["kept"][1] = tuple(self._entry_grid(c) for c in (0, 1))
         elif layer % dp["stride"] == 0:
             grids = dp["kept"][layer] = self._relax(layer, dp["last"])
         else:
@@ -222,11 +229,23 @@ class SearchGraph:
                 dp["buffers"] = [self._flat_pair(), self._flat_pair()]
             grids = self._relax(layer, dp["last"], out=dp["buffers"][layer % 2])
         dp["last"] = grids
-        exits0, exits1 = self._exits(layer, grids)
-        value = int(min(exits0.min(initial=INF), exits1.min(initial=INF)))
+        value = int(min(exits.min(initial=INF) for exits in self._exits(layer, grids)))
         dp["tau"].append(value)
         best = dp["best"]
         best.append((value, layer + 1) if value < best[-1][0] else best[-1])
+
+    def _entry_grid(self, c: int) -> np.ndarray:
+        """Layer 1's color-c grid: an entry block of the other color's jobs
+        ``0 .. y``, then c's jobs from the first.
+
+        The shifted value depends only on ``y``, so every cell along c's
+        axis shares it, and the grid is a broadcast view.
+        """
+        o = 1 - c
+        t, n = self._dp["t"], (self.n0, self.n1)
+        row = self._dp["entry"][o] + np.minimum(np.abs(t[c][0] - t[o]), abs(int(t[c][0] - t[o][0])))
+        row = (row - t[c][0]).astype(self._dp["dtype"])
+        return _own(np.broadcast_to(row, (n[c], n[o])), c)
 
     def _flat_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Two flat buffers of the grid dtype, each large enough for a full grid."""
@@ -252,36 +271,30 @@ class SearchGraph:
         flat buffers to write into instead of new arrays.
         """
         rows, cols = stop or (self.n0, self.n1)
-        g0, g1 = prev
-        into0, into1 = self._dp["into0"], self._dp["into1"]
-        i0, j0 = _band(layer, 0)
-        i1, j1 = _band(layer, 1)
-        h0 = h1 = None
-        if 0 in colors:
-            h0 = _add(g1[: rows - i0, : cols - j0], into0[i0:rows, j0:cols], out and out[0])
-            np.minimum.accumulate(h0, axis=0, out=h0)
-        if 1 in colors:
-            h1 = _add(g0[: rows - i1, : cols - j1], into1[i1:rows, j1:cols], out and out[1])
-            np.minimum.accumulate(h1, axis=1, out=h1)
-        return h0, h1
+        grids: list[np.ndarray | None] = [None, None]
+        for c in colors:
+            i, j = _band(layer, c)
+            h = grids[c] = _add(
+                prev[1 - c][: rows - i, : cols - j], self._dp["into"][c][i:rows, j:cols], out and out[c]
+            )
+            np.minimum.accumulate(h, axis=c, out=h)
+        return grids[0], grids[1]
 
-    def _exits(self, layer: int, grids: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def _exits(self, layer: int, grids: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
         """Distance through each final block after ``layer``'s full ``grids``.
 
-        Entry ``a`` of the first array ends with color 0's jobs ``a+1 ..``
-        after color 1's last job, entry ``b`` of the second with color 1's
-        jobs ``b+1 ..``; entries whose grid cell lies outside the band are
-        ``INF``.
+        Entry ``a`` of array ``c`` ends with color c's jobs ``a+1 ..`` after
+        the other color's last job; entries whose grid cell lies outside the
+        band are ``INF``.
         """
-        dp = self._dp
-        h0, h1 = grids
-        exits0 = np.full(self.n0 - 1, INF, dtype=np.int64)
-        lo = _band(layer, 1)[0]
-        exits0[lo:] = h1[: self.n0 - 1 - lo, -1] + dp["exit0"][lo:]
-        exits1 = np.full(self.n1 - 1, INF, dtype=np.int64)
-        lo = _band(layer, 0)[1]
-        exits1[lo:] = h0[-1, : self.n1 - 1 - lo] + dp["exit1"][lo:]
-        return exits0, exits1
+        n = (self.n0, self.n1)
+        lo = _band(layer, 0)[1]  # the other color's corner, the same for both grids
+        exits = []
+        for c, o in _PAIRS:
+            exit_c = np.full(n[c] - 1, INF, dtype=np.int64)
+            exit_c[lo:] = _own(grids[o], o)[-1, : n[c] - 1 - lo] + self._dp["exit"][c][lo:]
+            exits.append(exit_c)
+        return exits
 
     def _price_through(self, changes: int) -> dict:
         """Price every layer up to the one whose exits reach ``changes``."""
@@ -289,23 +302,6 @@ class SearchGraph:
         while len(dp["tau"]) <= changes:
             self._price_layer()
         return dp
-
-    @staticmethod
-    def _line(
-        grids: tuple[np.ndarray, np.ndarray], layer: int, color: int, along: int, k: int
-    ) -> tuple[int, np.ndarray]:
-        """Shifted distances on ``layer``'s ``color`` grid as the job of
-        color ``along`` varies and the other color stays at job ``k``, and
-        the job index of the first entry.
-
-        Jobs before that index lie outside the band; ``k`` must lie
-        inside it.
-        """
-        lo_i, lo_j = _band(layer, color)
-        grid = grids[color]
-        if along == 0:
-            return lo_i, grid[:, k - lo_j]
-        return lo_j, grid[k - lo_i, :]
 
     def layer_target_distances(self, max_changes: int | None = None) -> list[int | None]:
         """Optimal total change for exactly k changes, k = 1..``max_changes``
@@ -406,10 +402,8 @@ class SearchGraph:
                 if pending and pending[0].layer > base:
                     stop, chains = None, (0, 1)
                 else:
-                    stop = (
-                        max(walk.cursor[1] for walk in active) + 1,
-                        max(walk.cursor[2] for walk in active) + 1,
-                    )
+                    cells = [_swap(walk.cursor[1:], walk.cursor[0]) for walk in active]
+                    stop = tuple(max(axis) + 1 for axis in zip(*cells))
                     chains = {(walk.layer + walk.cursor[0]) % 2 for walk in active}
                 self._recompute(have, below, stop, chains, pool)
             for walk in active:
@@ -454,19 +448,15 @@ class SearchGraph:
             grids = have[above] = self._relax(above, grids, stop, pool[offset], colors)
 
     def _start(self, walk: _Walk, grids: tuple[np.ndarray, np.ndarray]) -> None:
-        """Place ``walk`` on the first exit of its layer that meets its target."""
-        n0, n1 = self.n0, self.n1
-        exits0, exits1 = self._exits(walk.layer, grids)
-        for a in range(n0 - 1):
-            if int(exits0[a]) == walk.target:
-                walk.runs_rev.append((0, a + 1, n0 - 1))
-                walk.cursor = (1, a, n1 - 1)
-                return
-        for b in range(n1 - 1):
-            if int(exits1[b]) == walk.target:
-                walk.runs_rev.append((1, b + 1, n1 - 1))
-                walk.cursor = (0, n0 - 1, b)
-                return
+        """Place ``walk`` on the first exit of its layer that meets its
+        target: color 0's exits before color 1's, each in job order."""
+        n = (self.n0, self.n1)
+        for (c, o), exits in zip(_PAIRS, self._exits(walk.layer, grids)):
+            for a in range(n[c] - 1):
+                if int(exits[a]) == walk.target:
+                    walk.runs_rev.append((c, a + 1, n[c] - 1))
+                    walk.cursor = (o, n[o] - 1, a)
+                    return
         raise AssertionError("no exit matches the target distance")
 
     def _step(self, walk: _Walk, have: dict) -> None:
@@ -475,84 +465,42 @@ class SearchGraph:
 
         Shifted distances: a move within the open block keeps the value,
         a color change adds the ``into`` weight of the new block's cell.
+        On layer 1 the open block starts at its color's first job and
+        follows an entry block of the other color.
         """
-        dp = self._dp
-        t0, t1 = dp["t0"], dp["t1"]
-        layer = walk.layer
-        color, a, b = walk.cursor
-        if color == 0:
-            run_hi = a
-            lo, line = self._line(have[layer], layer, 0, 0, b)
-            d = int(line[a - lo])
-            if layer >= 2:
-                lo_prev, prev = self._line(have[layer - 1], layer - 1, 1, 0, b)
-            into0, entry1 = dp["into0"], dp["entry1"]
-            while True:
-                if layer == 1 and a == 0:
-                    w = min(abs(int(t0[0] - t1[b])), abs(int(t0[0] - t1[0])))
-                    if int(entry1[b]) + w == d + int(t0[0]):
-                        walk.runs_rev.append((0, 0, run_hi))
-                        walk.first_run = (1, 0, b)
-                        return
-                if layer >= 2 and a - 1 >= lo_prev:
-                    if int(prev[a - 1 - lo_prev]) + int(into0[a, b]) == d:
-                        walk.runs_rev.append((0, a, run_hi))
-                        walk.layer, walk.cursor = layer - 1, (1, a - 1, b)
-                        return
-                if a - 1 >= lo and int(line[a - 1 - lo]) == d:
-                    a -= 1
-                    continue
-                raise AssertionError("backtrack mismatch on color-0 grid")
-        run_hi = b
-        lo, line = self._line(have[layer], layer, 1, 1, a)
-        d = int(line[b - lo])
-        if layer >= 2:
-            lo_prev, prev = self._line(have[layer - 1], layer - 1, 0, 1, a)
-        into1, entry0 = dp["into1"], dp["entry0"]
-        while True:
-            if layer == 1 and b == 0:
-                w = min(abs(int(t1[0] - t0[a])), abs(int(t1[0] - t0[0])))
-                if int(entry0[a]) + w == d + int(t1[0]):
-                    walk.runs_rev.append((1, 0, run_hi))
-                    walk.first_run = (0, 0, a)
-                    return
-            if layer >= 2 and b - 1 >= lo_prev:
-                if int(prev[b - 1 - lo_prev]) + int(into1[a, b]) == d:
-                    walk.runs_rev.append((1, b, run_hi))
-                    walk.layer, walk.cursor = layer - 1, (0, a, b - 1)
-                    return
-            if b - 1 >= lo and int(line[b - 1 - lo]) == d:
-                b -= 1
-                continue
-            raise AssertionError("backtrack mismatch on color-1 grid")
-
-    def _jobs_of(self, color: int) -> tuple[Job, ...]:
-        return self.jobs0 if color == 0 else self.jobs1
+        layer, (c, x, y) = walk.layer, walk.cursor
+        o = 1 - c
+        if layer == 1:
+            walk.runs_rev.append((c, 0, x))
+            walk.first_run = (o, 0, y)
+            return
+        lo_x, lo_y = _swap(_band(layer, c), c)
+        line = _own(have[layer][c], c)[:, y - lo_y]  # along c's jobs, from lo_x
+        d = int(line[x - lo_x])
+        lo_y_prev, lo_x_prev = _swap(_band(layer - 1, o), o)
+        prev = _own(have[layer - 1][o], o)[y - lo_y_prev, :]  # along c's jobs, from lo_x_prev
+        into = _own(self._dp["into"][c], c)[:, y]
+        # Change color at the first x (from the block's end down) where the
+        # layer below plus the weight gives d, else stay in the block.
+        while x <= lo_x_prev or int(prev[x - 1 - lo_x_prev]) + int(into[x]) != d:
+            if x <= lo_x or int(line[x - 1 - lo_x]) != d:
+                raise AssertionError(f"backtrack mismatch on color-{c} grid")
+            x -= 1
+        walk.runs_rev.append((c, x, walk.cursor[1]))
+        walk.layer, walk.cursor = layer - 1, (o, y, x - 1)
 
     def _materialize(self, runs: list[tuple[int, int, int]]) -> list[Job]:
         """Lay out the block runs; border blocks take the cheaper direction."""
-        temps = {0: [j.temperature for j in self.jobs0], 1: [j.temperature for j in self.jobs1]}
-        blocks: list[list[Job]] = []
-        for color, lo, hi in runs:
-            blocks.append(list(self._jobs_of(color)[lo : hi + 1]))
+        blocks = [list(self._jobs_of(color)[lo : hi + 1]) for color, lo, hi in runs]
         # Inner blocks always run upward; the first and last block face a
         # single neighbor and flip when that lowers the junction cost.
-        first_color, first_lo, first_hi = runs[0]
-        next_color, next_lo, _ = runs[1]
-        anchor = temps[next_color][next_lo]
-        t_first = temps[first_color]
-        if abs(anchor - t_first[first_hi]) > abs(anchor - t_first[first_lo]):
-            blocks[0].reverse()
-        last_color, last_lo, last_hi = runs[-1]
-        prev_color, _, prev_hi = runs[-2]
-        anchor = temps[prev_color][prev_hi]
-        t_last = temps[last_color]
-        if abs(t_last[last_lo] - anchor) > abs(t_last[last_hi] - anchor):
-            blocks[-1].reverse()
-        out: list[Job] = []
-        for block in blocks:
-            out.extend(block)
-        return out
+        first, anchor = blocks[0], blocks[1][0].temperature
+        if abs(anchor - first[-1].temperature) > abs(anchor - first[0].temperature):
+            first.reverse()
+        last, anchor = blocks[-1], blocks[-2][-1].temperature
+        if abs(last[0].temperature - anchor) > abs(last[-1].temperature - anchor):
+            last.reverse()
+        return [job for block in blocks for job in block]
 
     def _reconstruct_two_blocks(self, target: int) -> list[Job]:
         for first, second in ((self.jobs0, self.jobs1), (self.jobs1, self.jobs0)):
@@ -604,8 +552,18 @@ def _band(layer: int, color: int) -> tuple[int, int]:
     of the grid has a finite distance, and only the band from this corner
     is relaxed and stored.
     """
-    own, other = (layer + 2) // 2 - 1, (layer + 1) // 2 - 1
-    return (own, other) if color == 0 else (other, own)
+    return _swap(((layer + 2) // 2 - 1, (layer + 1) // 2 - 1), color)
+
+
+def _own(grid: np.ndarray, color: int) -> np.ndarray:
+    """``grid``, stored ``(n0, n1)``, as a view indexed by ``color``'s job
+    first and the other color's second: the grid itself or its ``.T``."""
+    return grid if color == 0 else grid.T
+
+
+def _swap(pair: tuple[int, int], color: int) -> tuple[int, int]:
+    """Turn an ``(i, j)`` pair into ``color``'s ``(own, other)`` order, or back."""
+    return pair if color == 0 else pair[::-1]
 
 
 def build_search_graph(instance: Instance, max_color_changes: int) -> SearchGraph:

@@ -43,6 +43,13 @@ class TestParsing:
         with pytest.raises(ValidationError, match="line 2"):
             parse_instance("a,1,0\nb,2\n", "csv")
 
+    @pytest.mark.parametrize("text", ["a,1x,0\nb,2,1\n", "a,1\nb,2,1\n", "a,1,x\nb,2,1\n"])
+    def test_malformed_first_line_is_not_a_header(self, text):
+        # Only a three-field line 1 whose temperature and color both fail
+        # to parse is a header; any other bad line 1 is a bad data row.
+        with pytest.raises(ValidationError, match="^line 1: "):
+            parse_instance(text, "csv")
+
     def test_three_color_csv(self):
         text = "\n".join(f"c{c}t{t},{t},{c}" for t, c in TEN_JOB_THREE_COLOR)
         inst = parse_instance(text, "csv")
@@ -63,6 +70,17 @@ class TestParsing:
     def test_json_missing_field(self):
         with pytest.raises(ValidationError, match="missing"):
             parse_instance('[{"id": "a", "color": 0}]', "json")
+
+    @pytest.mark.parametrize("color", [1.7, True, False, "1.0", None, float("inf")])
+    def test_json_color_must_be_an_integer(self, color):
+        text = json.dumps([{"id": "a", "temperature": 1, "color": 0}, {"id": "b", "temperature": 2, "color": color}])
+        with pytest.raises(ValidationError, match="job b: invalid color"):
+            parse_instance(text, "json")
+
+    @pytest.mark.parametrize("color", [1, "1", 1.0])
+    def test_json_integer_colors_accepted(self, color):
+        text = json.dumps([{"id": "a", "temperature": 1, "color": 0}, {"id": "b", "temperature": 2, "color": color}])
+        assert parse_instance(text, "json").job_by_id("b").color == 1
 
     def test_detect_format(self):
         assert detect_format('[{"id": "a"}]') == "json"
@@ -395,6 +413,33 @@ class TestCli:
         assert code == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: temperatures too large")
+
+    def test_solve_fractional_json_color_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "jobs.json"
+        path.write_text('[{"id": "a", "temperature": 1, "color": 0}, {"id": "b", "temperature": 2, "color": 1.7}]')
+        assert main(["solve", "--input", str(path), "--max-color-changes", "1"]) == 1
+        assert "invalid color 1.7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "claim, code",
+        [
+            ({"T": "5.0", "C": 1}, 0),
+            ({"T": 5, "C": 1}, 0),
+            ({"T": "5.000", "C": 1}, 0),
+            ({"T": "5.001", "C": 1}, 1),
+            ({"T": "5", "C": True}, 1),
+            ({"T": "5", "C": 1.0}, 1),
+            ({"T": "5", "C": 2}, 1),
+        ],
+    )
+    def test_verify_compares_claims_by_value(self, instance_file, tmp_path, capsys, claim, code):
+        assert main(["solve", "--input", str(instance_file), "--max-color-changes", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["T"], doc["C"]) == ("5", 1)
+        result_path = tmp_path / "result.json"
+        result_path.write_text(json.dumps({**doc, **claim}), encoding="utf-8")
+        assert main(["verify", "--input", str(instance_file), "--schedule", str(result_path)]) == code
+        assert json.loads(capsys.readouterr().out)["matches_claimed"] is (code == 0)
 
     def test_gen_solve_verify_pipeline(self, tmp_path, capsys):
         instance_path = tmp_path / "gen.csv"

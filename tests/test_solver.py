@@ -327,6 +327,36 @@ class TestParetoSweep:
         assert table([(top - t, c) for t, c in scaled]) == base
         assert table([(t, 1 - c) for t, c in scaled]) == base
 
+    @given(
+        st.one_of(
+            job_records(min_colors=2, max_colors=2, max_jobs=14, max_temp=9),
+            lopsided_records(),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_color_swap_keeps_every_budget_answer(self, records):
+        # Swapping the colors sends each walk through the other color's
+        # turn of the shared relaxation and walk code.
+        def answers(records):
+            table, solve = pareto_front(build_instance(records))
+            budgets = [k for k, value in table if value is not None]
+            return table, [(r.total_change, r.changes) for r in solve(budgets)]
+
+        assert answers([(i, t, 1 - c) for i, t, c in records]) == answers(records)
+
+    def test_equal_cost_optima_resolve_the_same_way(self):
+        # Several optima tie at budgets 2 and 3.  The walk takes color 0's
+        # exits before color 1's, and starts each block at the latest job
+        # that reaches the optimum; both rules show in these schedules.
+        instance = build_instance(
+            [("w0", 2, 0), ("b1", 3, 1), ("b2", 1, 1), ("b3", 2, 1), ("w4", 4, 0), ("w5", 4, 0)]
+        )
+        expected = {2: ("w0", "b2", "b3", "b1", "w4"), 3: ("b2", "b3", "w0", "b1", "w4")}
+        _, solve = pareto_front(instance)
+        assert [r.schedule.order for r in solve([2, 3])] == [expected[2], expected[3]]
+        for budget, order in expected.items():
+            assert shortest_schedule(instance, budget).schedule.order == order
+
     def test_agrees_with_oracle_table_under_duplicates(self):
         from calsched import enumerate_pareto
 
