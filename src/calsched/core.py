@@ -188,9 +188,13 @@ def build_instance(records: Iterable[tuple[object, object, object]]) -> Instance
 def parse_record(record_id: object, raw_temp: object, raw_color: object) -> tuple[str, int, int]:
     """One record as ``(id, scaled temperature, color)``.
 
-    A color is a nonnegative integer or a string of one; bools and
-    fractional numbers are rejected rather than rounded.
+    An id is a string or an integer, kept as its text.  A color is a
+    nonnegative integer or a string of one; bools and fractional numbers
+    are rejected rather than rounded.
     """
+    # str() would turn None, True, 1.5 or [1] into an id; none of them is one.
+    if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
+        raise ValidationError(f"job {record_id!r}: invalid id {record_id!r}")
     job_id = str(record_id)
     temp = parse_temperature(raw_temp)
     try:

@@ -7,8 +7,13 @@ is known.
 
 The subset DP is one dense numpy table ``D[mask, last, k]``: the least
 total change over orderings of the jobs in ``mask`` that end at ``last``
-with exactly ``k`` color changes.  It is filled one popcount layer at a
-time in pull form.  Each cell ``(mask, nxt)`` reads its one predecessor
+with exactly ``k`` color changes.  It is stored change-count-major, as
+``(cap + 1, 2^n, n)``, and read through the transposed ``(mask, last, k)``
+view.  It is filled one popcount layer at a time in pull form, and only in
+its band: an ordering of ``size`` jobs has at most ``size - 1`` changes, so
+layer ``size`` reads the leading contiguous rows ``k <= size - 2`` of its
+predecessors and writes rows ``k <= size - 1``; every cell outside the band
+keeps the sentinel.  Each cell ``(mask, nxt)`` reads its one predecessor
 mask ``mask ^ (1 << nxt)``: the minimum over same-color last jobs keeps
 ``k``, the minimum over other-color last jobs is shifted by one change.
 Cells of a layer whose next job shares a color are computed together, and
@@ -22,7 +27,10 @@ and halves the table, else ``int64`` with ``core.INF``, below which the
 magnitude bound of :class:`~calsched.core.Instance` keeps every real sum
 exact.  Entries with ``k`` up to some cap do not depend on the table's
 width, so :func:`pareto_front` builds one table at the merged maximum and
-answers the trade-off table and every budget from it.
+answers the trade-off table and every budget from it.  The color groups
+come from ``sorted(set(colors))``, not ``np.unique``: on numpy 2.4 its
+first call imports ``numpy.ma``, 12-30 ms that every process running the
+oracle would pay.
 
 Optimal schedules are read back from the table in lexicographic order of
 their job indices (the instance's merged job order), so a result truncated
@@ -120,51 +128,66 @@ def _prepare(instance: Instance) -> tuple[list[int], list[int], list[str]]:
 
 
 def _pull(
-    rows: np.ndarray, lasts: np.ndarray, base: np.ndarray, weights: np.ndarray
+    flat: np.ndarray, lasts: np.ndarray, base: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
-    """Per target ``p``, the least ``rows[base[p] + lasts[i]] + weights[i, p]``
-    over ``i``: the best way to reach ``p`` from any of ``lasts``."""
-    reach = np.take(rows, lasts[:, None] + base, axis=0)
-    reach += weights[:, :, None]
-    return reach.min(axis=0)
+    """Per target ``p`` and change count ``k``, the least
+    ``flat[k, base[p] + lasts[i]] + weights[i, p]`` over ``i``: the best way
+    to reach ``p`` from any of ``lasts``.  ``flat`` is the band of the
+    k-major table, one contiguous row of ``mask * n + last`` per ``k``."""
+    reach = np.take(flat, lasts[:, None] + base, axis=1)
+    reach += weights
+    return reach.min(axis=1)
 
 
 def _subset_dp_table(
     temps: list[int], colors: list[int], cap: int
 ) -> tuple[np.ndarray, int]:
     """``D[mask, last, k]``, shape ``(2^n, n, cap + 1)``, and the sentinel its
-    unreachable cells hold; see the module notes."""
+    unreachable cells hold; see the module notes.
+
+    The table is stored k-major, as ``(cap + 1, 2^n, n)``, and returned as
+    the transposed view.  An ordering of ``size`` jobs has at most
+    ``size - 1`` changes, so layer ``size`` reads only the leading
+    contiguous band ``k <= size - 2`` of its predecessors and writes only
+    ``k <= size - 1``; every other cell keeps the sentinel it was filled
+    with.  The color groups avoid ``np.unique`` and its ``numpy.ma``
+    import.
+    """
     n = len(temps)
     dtype, sentinel = table_dtype(n, max(temps) - min(temps))
     t = np.array(temps, dtype=np.int64)
     weights = np.abs(t[:, None] - t[None, :]).astype(dtype)
     color = np.array(colors)
     jobs = np.arange(n)
-    table = np.full((1 << n, n, cap + 1), sentinel, dtype=dtype)
-    table[1 << jobs, jobs, 0] = 0
-    rows = table.reshape(-1, cap + 1)  # row mask * n + last
+    table = np.full((cap + 1, 1 << n, n), sentinel, dtype=dtype)
+    table[0, 1 << jobs, jobs] = 0
+    flat = table.reshape(cap + 1, -1)  # column mask * n + last
     masks = np.arange(1 << n)
     popcount = sum((masks >> j) & 1 for j in range(n))
-    groups = [(jobs[color == c], jobs[color != c]) for c in np.unique(color)]
-    step = max(1, _BLOCK_CELLS // (n * n * (cap + 1)))
+    groups = [(jobs[color == c], jobs[color != c]) for c in sorted(set(colors))]
     for size in range(2, n + 1):
+        read = min(size - 1, cap + 1)  # change counts a predecessor can hold
+        write = min(size, cap + 1)
+        band = flat[:read]
         layer = masks[popcount == size]
+        step = max(1, _BLOCK_CELLS // (n * n * write))
         for start in range(0, len(layer), step):
             block = layer[start : start + step]
             for own, foreign in groups:
                 # Every (mask, nxt) of this block with nxt of this color, and
-                # the row offset of its one predecessor mask.
+                # the column offset of its one predecessor mask.
                 at, pick = np.nonzero(block[:, None] >> own & 1)
                 grown, nxt = block[at], own[pick]
                 base = (grown ^ (1 << nxt)) * n
                 # own holds nxt itself, whose predecessor cell is the
                 # sentinel at weight 0, so no cell exceeds the sentinel
-                cell = _pull(rows, own, base, weights[own][:, nxt])
-                if foreign.size and cap:
-                    shifted = _pull(rows, foreign, base, weights[foreign][:, nxt])
-                    np.minimum(cell[:, 1:], shifted[:, :-1], out=cell[:, 1:])
-                table[grown, nxt] = cell
-    return table, sentinel
+                cell = np.full((write, len(nxt)), sentinel, dtype=dtype)
+                cell[:read] = _pull(band, own, base, weights[own][:, nxt])
+                if foreign.size and write > 1:
+                    shifted = _pull(band, foreign, base, weights[foreign][:, nxt])
+                    np.minimum(cell[1:], shifted[: write - 1], out=cell[1:])
+                flat[:write, grown * n + nxt] = cell
+    return table.transpose(1, 2, 0), sentinel
 
 
 def _optimal_orders(

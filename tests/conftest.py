@@ -23,18 +23,25 @@ THREE_COLOR_OPTIMUM = (
 )
 
 
-def child_peak_rss_mb(source):
-    """Peak RSS in MB of a fresh Python process that runs ``source``."""
+def run_child(source):
+    """Stdout of a fresh Python process that runs ``source`` with this
+    checkout's ``calsched`` on its path; fails with the child's stderr."""
     src = os.path.dirname(os.path.dirname(calsched.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(source)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def child_peak_rss_mb(source):
+    """Peak RSS in MB of a fresh Python process that runs ``source``."""
     source = textwrap.dedent(source) + (
         "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", source],
-        capture_output=True, text=True, check=True, timeout=120, env=env,
-    )
-    return int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    return int(run_child(source).split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
 
 
 def three_color_instance():

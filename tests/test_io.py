@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,17 @@ class TestParsing:
     def test_json_integer_colors_accepted(self, color):
         text = json.dumps([{"id": "a", "temperature": 1, "color": 0}, {"id": "b", "temperature": 2, "color": color}])
         assert parse_instance(text, "json").job_by_id("b").color == 1
+
+    @pytest.mark.parametrize("record_id", [None, True, False, 1.5, 1.0, [1], {"a": 1}])
+    def test_json_id_must_be_a_string_or_integer(self, record_id):
+        text = json.dumps([{"id": "a", "temperature": 1, "color": 0}, {"id": record_id, "temperature": 2, "color": 1}])
+        with pytest.raises(ValidationError, match=re.escape(f"job {record_id!r}: invalid id {record_id!r}")):
+            parse_instance(text, "json")
+
+    def test_json_string_and_integer_ids_accepted(self):
+        text = json.dumps([{"id": 7, "temperature": 1, "color": 0}, {"id": "7x", "temperature": 2, "color": 1}])
+        inst = parse_instance(text, "json")
+        assert [job.id for job in inst.jobs] == ["7", "7x"]
 
     def test_detect_format(self):
         assert detect_format('[{"id": "a"}]') == "json"
@@ -419,6 +431,14 @@ class TestCli:
         path.write_text('[{"id": "a", "temperature": 1, "color": 0}, {"id": "b", "temperature": 2, "color": 1.7}]')
         assert main(["solve", "--input", str(path), "--max-color-changes", "1"]) == 1
         assert "invalid color 1.7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw_id", ["null", "true", "1.5", "[1]"])
+    def test_solve_non_string_json_id_exits_1(self, tmp_path, capsys, raw_id):
+        path = tmp_path / "jobs.json"
+        path.write_text(f'[{{"id": "a", "temperature": 1, "color": 0}}, {{"id": {raw_id}, "temperature": 2, "color": 1}}]')
+        assert main(["solve", "--input", str(path), "--max-color-changes", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "invalid id" in err
 
     @pytest.mark.parametrize(
         "claim, code",

@@ -28,9 +28,11 @@ from conftest import (
     child_peak_rss_mb,
     job_records,
     make_two_color,
+    run_child,
     two_color_instances,
 )
 from permutation_oracle import permutation_optimal
+from subset_dp_reference import subset_dp_cells
 
 
 class TestThreeColorInstance:
@@ -266,6 +268,47 @@ class TestTableDtype:
             """
         )
         assert peak_mb < 128, peak_mb
+
+
+class TestSubsetDpTable:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_plain_reference(self, data):
+        n = data.draw(st.integers(1, 8))
+        colors = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        # Few distinct temperatures, so optima tie; the large scale makes
+        # the table int64.
+        scale = data.draw(st.sampled_from([1, 1 << 28]))
+        temps = [t * scale for t in data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+        _, sentinel = oracle.table_dtype(n, max(temps) - min(temps))
+        reference = np.array(subset_dp_cells(temps, colors, n + 1, sentinel))
+        popcount = np.array([bin(mask).count("1") for mask in range(1 << n)])
+        for cap in range(n + 1):
+            table, unreachable = oracle._subset_dp_table(temps, colors, cap)
+            assert unreachable == sentinel and table.shape == (1 << n, n, cap + 1)
+            assert np.array_equal(table, reference[:, :, : cap + 1])
+            # An ordering of a mask's jobs has fewer changes than jobs.
+            beyond = np.arange(cap + 1) >= popcount[:, None, None]
+            assert (table[np.broadcast_to(beyond, table.shape)] == sentinel).all()
+
+
+def test_cli_sweep_imports_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call (numpy 2.4), 12-30 ms
+    # that every CLI run through the oracle would pay.
+    two = tmp_path / "two.csv"
+    two.write_text("a,1,0\nb,2,1\nc,3,1\nd,0,0\n", encoding="utf-8")
+    three = tmp_path / "three.csv"
+    three.write_text("a,1,0\nb,2,1\nc,3,2\nd,0,0\ne,4,2\n", encoding="utf-8")
+    run_child(
+        f"""
+        import contextlib, io, sys
+        from calsched import cli
+        for path in ({str(two)!r}, {str(three)!r}):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["sweep", "--input", path]) == 0
+            assert "numpy.ma" not in sys.modules, path
+        """
+    )
 
 
 class TestSmallInstances:
