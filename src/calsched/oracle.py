@@ -57,6 +57,10 @@ DEFAULT_SCHEDULE_CAP = 64
 # then dominates memory.
 _BLOCK_CELLS = 1 << 19
 
+# The subset-DP table is refused above this size.  At the default job cap
+# it takes at most 64 MiB (16 jobs, 15 changes, int32).
+MAX_TABLE_BYTES = 1 << 30
+
 
 class OracleSizeError(ValueError):
     """Instance too large for exhaustive search."""
@@ -87,6 +91,12 @@ def table_dtype(n: int, span: int) -> tuple[type[np.signedinteger], int]:
     if n * span < 1 << 30:
         return np.int32, 1 << 30
     return np.int64, INF
+
+
+def table_bytes(n: int, cap: int, dtype: type[np.signedinteger]) -> int:
+    """Bytes of the subset-DP table over ``n`` jobs and change counts up to
+    ``cap``: ``cap + 1`` rows of ``2^n * n`` cells of ``dtype``."""
+    return (cap + 1) * (1 << n) * n * np.dtype(dtype).itemsize
 
 
 def _check_size(instance: Instance) -> None:
@@ -151,10 +161,18 @@ def _subset_dp_table(
     contiguous band ``k <= size - 2`` of its predecessors and writes only
     ``k <= size - 1``; every other cell keeps the sentinel it was filled
     with.  The color groups avoid ``np.unique`` and its ``numpy.ma``
-    import.
+    import.  A table larger than ``MAX_TABLE_BYTES`` is refused with
+    :class:`OracleSizeError` before anything is allocated.
     """
     n = len(temps)
     dtype, sentinel = table_dtype(n, max(temps) - min(temps))
+    size = table_bytes(n, cap, dtype)
+    if size > MAX_TABLE_BYTES:
+        raise OracleSizeError(
+            f"exhaustive search over {n} merged jobs with up to {cap} color "
+            f"changes needs a {size / 2**20:,.0f} MiB table, above the "
+            f"{MAX_TABLE_BYTES >> 20:,} MiB limit"
+        )
     t = np.array(temps, dtype=np.int64)
     weights = np.abs(t[:, None] - t[None, :]).astype(dtype)
     color = np.array(colors)

@@ -18,12 +18,12 @@ with ``o = 1 - c`` the other:
 * the target for ``k`` color changes collects the exits of layer ``k-1``;
   the target for one change (two blocks) joins the two entry chains.
 
-Every grid and per-cell weight array is stored ``(n0, n1)`` in C order,
-for both colors.  Code written once for color ``c`` reads an array through
-:func:`_own`, a view indexed by c's job first: the array itself for color
-0 and its ``.T`` for color 1.  No array is stored transposed, so each
-numpy operation touches memory in the same order as code written out per
-color would.
+Every grid and per-cell weight array of color ``c`` is stored in c's own
+order, ``(n_c, n_o)`` in C order: one row per job of ``c``, one column per
+job of the other color.  So code written once for ``c`` indexes every
+array the same way, and both colors take their running minimum down the
+rows.  Relaxing a grid transposes once, because the grid it reads is
+stored in the other color's order (see :meth:`SearchGraph._relax`).
 
 All weights are nonnegative scaled-integer temperature gaps, the graph is
 acyclic, and one pass of relaxations in layer order yields the distances
@@ -34,7 +34,7 @@ returns the whole trade-off table together with that batch solve, so a
 sweep with plots builds one graph and rebuilds every distinct optimum in
 one reconstruction pass.
 
-The pass is dense numpy work, shaped five ways:
+The pass is dense numpy work, shaped six ways:
 
 * shifted frame: each grid holds distance minus the last temperature of
   the open block, so a layer is one add of a fixed per-cell weight to the
@@ -59,7 +59,18 @@ The pass is dense numpy work, shaped five ways:
   ``[-span, (l + 2) * span]``.  :func:`grid_dtype` turns that bound into
   the one dtype of every band grid, buffer and recomputed layer: ``int32``
   when ``(max_changes + 4) * span <= 2**30``, else ``int64``.  Exits and
-  targets are always ``int64``.
+  targets are always ``int64``;
+* blocked and threaded: ``minimum.accumulate`` down the rows runs a
+  strided scalar loop per column, and numpy holds the GIL in it unless a
+  column has more than 500 cells.  :func:`_blocked_minimum` gives the
+  same running minimum from about ``2 * sqrt(rows)`` calls over whole
+  rows, which release the GIL.  A color-c grid reads only the color-o
+  grid of the layer below, so the grids form two chains by the parity of
+  layer + color.  With a wide band and two usable CPUs, the forward pass
+  runs one chain on a second thread, one checkpoint segment at a time,
+  and merges the targets and tests for the span after each segment.
+  :func:`pass_plan` makes both choices from the band width and the usable
+  CPU count.  Reconstruction runs on one thread.
 
 The magnitude bound that :class:`~calsched.core.Instance` enforces keeps
 every real distance far below the ``INF`` sentinel, and no ``INF`` ever
@@ -69,6 +80,8 @@ enters a band grid.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -125,27 +138,31 @@ class SearchGraph:
 
     instance: Instance
     max_changes: int
+    _jobs: tuple = field(init=False, repr=False)  # each color's sorted jobs
+    _n: tuple = field(init=False, repr=False)  # (n0, n1)
     _dp: dict = field(init=False, repr=False, default_factory=dict)
     _solved: dict = field(init=False, repr=False, default_factory=dict)
 
+    def __post_init__(self) -> None:
+        jobs = tuple(self.instance.sorted_jobs(color) for color in self.instance.colors)
+        object.__setattr__(self, "_jobs", jobs)
+        object.__setattr__(self, "_n", tuple(len(js) for js in jobs))
+
     @property
     def jobs0(self) -> tuple[Job, ...]:
-        return self._jobs_of(0)
+        return self._jobs[0]
 
     @property
     def jobs1(self) -> tuple[Job, ...]:
-        return self._jobs_of(1)
+        return self._jobs[1]
 
     @property
     def n0(self) -> int:
-        return len(self.jobs0)
+        return self._n[0]
 
     @property
     def n1(self) -> int:
-        return len(self.jobs1)
-
-    def _jobs_of(self, color: int) -> tuple[Job, ...]:
-        return self.instance.sorted_jobs(self.instance.colors[color])
+        return self._n[1]
 
     # -- dense distance computation ------------------------------------
 
@@ -158,14 +175,12 @@ class SearchGraph:
         (the shifted frame).  Extending the open block then costs nothing,
         so a layer's color-c grid is the previous layer's color-o grid plus
         a fixed weight per cell, followed by one running minimum along c's
-        axis.  That weight, ``into[c]``, is the junction cost from o's job
-        ``y`` to c's job ``x`` minus the temperature difference between the
-        old and new block ends: ``2 * max(t[o][y] - t[c][x], 0)``.
+        axis.  That weight, ``into[c][x, y]``, is the junction cost from o's
+        job ``y`` to c's job ``x`` minus the temperature difference between
+        the old and new block ends: ``2 * max(t[o][y] - t[c][x], 0)``.
         ``exit[c][a]`` is what a final block of c's jobs ``a+1 ..`` adds to
         the shifted distance of the color-o cell at o's last job, and
         ``entry[c][y]`` is the span of a first block of c's jobs ``0 .. y``.
-        ``into[c]`` is stored ``(n0, n1)`` like the grids and read through
-        :func:`_own`.
 
         Layer ``l`` stores only its band (see :func:`_band`).  ``kept``
         maps layer 1 and every ``stride``-th layer to its pair of grids;
@@ -173,11 +188,13 @@ class SearchGraph:
         optimum with exactly ``k`` changes for every ``k`` priced so far
         (index 0 unused), and ``best[k]`` the best ``(value, changes)``
         with at most ``k`` changes; the number of layers priced is
-        ``len(tau) - 2``.
+        ``len(tau) - 2``.  ``t_grid`` holds the temperatures in the grid
+        dtype, and ``cpus`` the number of CPUs this process may run on,
+        read once for :func:`pass_plan`.
         """
         if self._dp:
             return self._dp
-        jobs = [self._jobs_of(c) for c in (0, 1)]
+        jobs = self._jobs
         # Weights and targets depend only on temperature differences, so
         # this shift is exact; it bounds the band values for grid_dtype.
         low = min(js[0].temperature for js in jobs)
@@ -188,13 +205,13 @@ class SearchGraph:
         # One change: both whole colors, joined at the closest pair of ends.
         borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
         tau1 = int(entry[0][-1] + entry[1][-1]) + borders
+        t_grid = tuple(tc.astype(dtype) for tc in t)
         self._dp.update(
             t=t,
+            t_grid=t_grid,
             entry=entry,
-            into=tuple(
-                np.ascontiguousarray(_own(2 * np.maximum(t[o][None, :] - t[c][:, None], 0), c), dtype)
-                for c, o in _PAIRS
-            ),
+            into=tuple(_junctions(t_grid[o][None, :], t_grid[c][:, None]) for c, o in _PAIRS),
+            into_t=None,  # each into[c].T, for the accumulate form; see _plan
             exit=tuple(
                 t[o][-1] + np.minimum(np.abs(t[c][1:] - t[o][-1]), abs(int(t[c][-1] - t[o][-1])))
                 + (t[c][-1] - t[c][1:])
@@ -203,6 +220,7 @@ class SearchGraph:
             span=span,
             dtype=dtype,
             stride=checkpoint_stride(self.max_changes - 1),
+            cpus=_usable_cpus(),
             kept={},
             last=None,
             buffers=None,  # two reused flat pairs for the layers not kept
@@ -211,28 +229,94 @@ class SearchGraph:
         )
         return self._dp
 
-    def _price_layer(self) -> None:
-        """Relax the next grid layer and price the change count its exits reach.
+    def _price(self, changes: int, until_span: bool = False) -> dict:
+        """Price layers until ``tau`` reaches ``changes`` changes or, with
+        ``until_span``, until the running best reaches the temperature span,
+        a lower bound for every schedule.
 
-        Layer 1 and every ``stride``-th layer get arrays of their own and
-        are kept; any other layer overwrites the buffer pair that held the
-        layer two below it, which nothing reads any more.
+        Layer 1, the entry grids, is kept.  Above it the layers go in
+        segments, each relaxed by :meth:`_price_segment`: a single layer
+        when sequential, so the pass stops right at the span, and with
+        threads everything up to the next kept layer (at most the layer
+        whose exits reach ``changes``).  Pricing a few layers past the span
+        changes no answer.
+        """
+        dp = self._distances()
+        while len(dp["tau"]) <= changes and not (until_span and dp["best"][-1][0] <= dp["span"]):
+            first = len(dp["tau"]) - 1
+            if first == 1:
+                grids = dp["kept"][1] = dp["last"] = tuple(self._entry_grid(c) for c in (0, 1))
+                self._record([[self._exits(1, 1 - c, grids[c]).min(initial=INF) for c in (0, 1)]])
+            else:
+                blocked, threaded = self._plan(self._width(first), dp["cpus"])
+                end = min(-(-first // dp["stride"]) * dp["stride"], changes - 1) if threaded else first
+                self._price_segment(first, end, blocked, threaded)
+        return dp
+
+    def _price_segment(self, first: int, end: int, blocked: bool, threaded: bool) -> None:
+        """Relax layers ``first`` through ``end`` and price the change
+        counts their exits reach.
+
+        A color-c grid reads only the color-o grid of the layer below, so
+        the grids split into two chains by the parity of layer + color, and
+        each chain relaxes its grid of every layer and prices that grid's
+        exits on its own; with ``threaded`` one chain runs on a second
+        thread.  A kept layer gets arrays of its own; any other layer
+        overwrites the buffers that held the same chain's grid two layers
+        below, which nothing reads any more.  A buffer slot belongs to one
+        chain, so the chains share no array they write.  The chains call no
+        function that ``perfbench/tracing.py`` wraps, since its span stack
+        is not thread-safe.
         """
         dp = self._dp
-        layer = len(dp["tau"]) - 1
-        if layer == 1:
-            grids = dp["kept"][1] = tuple(self._entry_grid(c) for c in (0, 1))
-        elif layer % dp["stride"] == 0:
-            grids = dp["kept"][layer] = self._relax(layer, dp["last"])
+        layers = range(first, end + 1)
+        if dp["buffers"] is None and any(layer % dp["stride"] for layer in layers):
+            dp["buffers"] = [self._flat_pair(), self._flat_pair()]
+        grids = [[None, None] for _ in layers]
+        lows = [[None, None] for _ in layers]  # per layer, each grid's least exit
+
+        def chain(parity: int) -> None:
+            grid = dp["last"][(parity + first + 1) % 2]
+            for row, layer in enumerate(layers):
+                c = (parity + layer) % 2
+                out = None if layer % dp["stride"] == 0 else dp["buffers"][layer % 2][c]
+                grid = grids[row][c] = self._relax(layer, c, grid, blocked, out=out)
+                lows[row][c] = self._exits(layer, 1 - c, grid).min(initial=INF)
+
+        if threaded:
+            _on_two_threads(lambda: chain(1), lambda: chain(0))
         else:
-            if dp["buffers"] is None:
-                dp["buffers"] = [self._flat_pair(), self._flat_pair()]
-            grids = self._relax(layer, dp["last"], out=dp["buffers"][layer % 2])
-        dp["last"] = grids
-        value = int(min(exits.min(initial=INF) for exits in self._exits(layer, grids)))
-        dp["tau"].append(value)
-        best = dp["best"]
-        best.append((value, layer + 1) if value < best[-1][0] else best[-1])
+            chain(0)
+            chain(1)
+        for layer, pair in zip(layers, grids):
+            if layer % dp["stride"] == 0:
+                dp["kept"][layer] = tuple(pair)
+        dp["last"] = tuple(grids[-1])
+        self._record(lows)
+
+    def _record(self, lows: list) -> None:
+        """Append each new layer's target to ``tau`` and ``best``; ``lows``
+        holds, per layer, the least exit of each of its grids."""
+        tau, best = self._dp["tau"], self._dp["best"]
+        for pair in lows:
+            value = int(min(pair))
+            tau.append(value)
+            best.append((value, len(tau) - 1) if value < best[-1][0] else best[-1])
+
+    def _plan(self, width: int, cpus: int) -> tuple[bool, bool]:
+        """:func:`pass_plan` for this graph.  Before any chain runs, the
+        calling thread builds the transposed weights that the accumulate
+        form of :meth:`_relax` reads."""
+        blocked, threaded = pass_plan(width, cpus)
+        dp = self._dp
+        if not blocked and dp["into_t"] is None:
+            t = dp["t_grid"]
+            dp["into_t"] = tuple(_junctions(t[o][:, None], t[c][None, :]) for c, o in _PAIRS)
+        return blocked, threaded
+
+    def _width(self, layer: int) -> int:
+        """The shortest side of any of ``layer``'s band grids."""
+        return min(self._n) - _band(layer)[0]
 
     def _entry_grid(self, c: int) -> np.ndarray:
         """Layer 1's color-c grid: an entry block of the other color's jobs
@@ -242,66 +326,68 @@ class SearchGraph:
         axis shares it, and the grid is a broadcast view.
         """
         o = 1 - c
-        t, n = self._dp["t"], (self.n0, self.n1)
+        t = self._dp["t"]
         row = self._dp["entry"][o] + np.minimum(np.abs(t[c][0] - t[o]), abs(int(t[c][0] - t[o][0])))
         row = (row - t[c][0]).astype(self._dp["dtype"])
-        return _own(np.broadcast_to(row, (n[c], n[o])), c)
+        return np.broadcast_to(row, (self._n[c], self._n[o]))
 
     def _flat_pair(self) -> tuple[np.ndarray, np.ndarray]:
         """Two flat buffers of the grid dtype, each large enough for a full grid."""
-        size, dtype = self.n0 * self.n1, self._dp["dtype"]
+        size, dtype = self._n[0] * self._n[1], self._dp["dtype"]
         return np.empty(size, dtype), np.empty(size, dtype)
 
     def _relax(
         self,
         layer: int,
-        prev: tuple[np.ndarray, np.ndarray],
+        c: int,
+        prev: np.ndarray,
+        blocked: bool,
         stop: tuple[int, int] | None = None,
-        out: tuple[np.ndarray, np.ndarray] | None = None,
-        colors: Collection[int] = (0, 1),
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``layer``'s pair of band grids (layer 2 and up) from ``prev``, the
-        pair of the layer below; only the grids of ``colors`` are relaxed,
-        the others are ``None``.
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """``layer``'s color-c band grid (layer 2 and up) from ``prev``, the
+        color-o grid of the layer below.
+
+        The grid is ``prev.T`` plus ``into[c]``, followed by a running
+        minimum down its rows.  The ``blocked`` form adds into the grid and
+        runs :func:`_blocked_minimum` on it.  The other form adds in
+        ``prev``'s order, to ``into[c].T``, and ``minimum.accumulate`` runs
+        along that sum's rows and writes the grid through its transpose:
+        accumulate's loop is as slow along either axis, so the transpose
+        then costs nothing extra.
 
         Only cells ``(i, j)`` with ``i < stop[0]`` and ``j < stop[1]`` are
-        relaxed (default: all).  A cell depends only on cells at or before
-        it in both coordinates, so those hold exactly what a full pass
-        gives, and ``prev`` needs only that rectangle.  ``out`` is a pair of
-        flat buffers to write into instead of new arrays.
+        relaxed (default: all; ``stop`` is in color 0's order).  A cell
+        depends only on cells at or before it in both coordinates, so those
+        hold exactly what a full pass gives, and ``prev`` needs only that
+        rectangle.  ``out`` is a flat buffer to write into instead of a new
+        array.
         """
-        rows, cols = stop or (self.n0, self.n1)
-        grids: list[np.ndarray | None] = [None, None]
-        for c in colors:
-            i, j = _band(layer, c)
-            h = grids[c] = _add(
-                prev[1 - c][: rows - i, : cols - j], self._dp["into"][c][i:rows, j:cols], out and out[c]
-            )
-            np.minimum.accumulate(h, axis=c, out=h)
-        return grids[0], grids[1]
+        dp = self._dp
+        rows, cols = _swap(stop, c) if stop else (self._n[c], self._n[1 - c])
+        a, b = _band(layer)
+        h, w = rows - a, cols - b
+        grid = np.empty((h, w), dp["dtype"]) if out is None else out[: h * w].reshape(h, w)
+        if blocked:
+            np.add(prev.T[:h, :w], dp["into"][c][a:rows, b:cols], out=grid)
+            _blocked_minimum(grid)
+        else:
+            paths = np.add(prev[:w, :h], dp["into_t"][c][b:cols, a:rows])
+            np.minimum.accumulate(paths, axis=1, out=grid.T)
+        return grid
 
-    def _exits(self, layer: int, grids: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
-        """Distance through each final block after ``layer``'s full ``grids``.
+    def _exits(self, layer: int, c: int, grid: np.ndarray) -> np.ndarray:
+        """Distance through each final block of color ``c`` after
+        ``layer``'s full color-o ``grid``.
 
-        Entry ``a`` of array ``c`` ends with color c's jobs ``a+1 ..`` after
-        the other color's last job; entries whose grid cell lies outside the
-        band are ``INF``.
+        Entry ``a`` ends with c's jobs ``a+1 ..`` after o's last job;
+        entries whose grid cell lies outside the band are ``INF``.
         """
-        n = (self.n0, self.n1)
-        lo = _band(layer, 0)[1]  # the other color's corner, the same for both grids
-        exits = []
-        for c, o in _PAIRS:
-            exit_c = np.full(n[c] - 1, INF, dtype=np.int64)
-            exit_c[lo:] = _own(grids[o], o)[-1, : n[c] - 1 - lo] + self._dp["exit"][c][lo:]
-            exits.append(exit_c)
+        n = self._n[c]
+        lo = _band(layer)[1]
+        exits = np.full(n - 1, INF, dtype=np.int64)
+        exits[lo:] = grid[-1, : n - 1 - lo] + self._dp["exit"][c][lo:]
         return exits
-
-    def _price_through(self, changes: int) -> dict:
-        """Price every layer up to the one whose exits reach ``changes``."""
-        dp = self._distances()
-        while len(dp["tau"]) <= changes:
-            self._price_layer()
-        return dp
 
     def layer_target_distances(self, max_changes: int | None = None) -> list[int | None]:
         """Optimal total change for exactly k changes, k = 1..``max_changes``
@@ -312,7 +398,7 @@ class SearchGraph:
         range needs.
         """
         cap = self.max_changes if max_changes is None else min(max_changes, self.max_changes)
-        tau = self._price_through(cap)["tau"]
+        tau = self._price(cap)["tau"]
         return [None if tau[k] >= INF else tau[k] for k in range(1, cap + 1)]
 
     def best_under_cap(self, cap: int) -> tuple[int, int]:
@@ -323,10 +409,7 @@ class SearchGraph:
         reaches the temperature span, a lower bound for every schedule.
         """
         cap = min(cap, self.max_changes)
-        dp = self._distances()
-        best = dp["best"]
-        while len(best) <= cap and best[-1][0] > dp["span"]:
-            self._price_layer()
+        best = self._price(cap, until_span=True)["best"]
         value, changes = best[min(cap, len(best) - 1)]
         if value >= INF:
             raise AssertionError("no feasible target reached")
@@ -377,7 +460,7 @@ class SearchGraph:
         smallest (layer, color, i, j) node, and block orientations break
         ties toward increasing order, so outputs are deterministic.
         """
-        dp = self._price_through(max(changes))
+        dp = self._price(max(changes))
         walks: dict[int, _Walk] = {}
         for k in sorted(set(changes), reverse=True):
             target = dp["tau"][k]
@@ -437,26 +520,32 @@ class SearchGraph:
 
         The ``i``-th layer of a segment reuses the ``i``-th buffer pair of
         ``pool``; the segment relaxed before this one lay above it, and the
-        walks have left it.
+        walks have left it.  The whole segment is relaxed on this thread,
+        in the form :func:`pass_plan` picks for its first layer's band.
         """
         base = self._checkpoint_below(layer)
         grids = have[base]
+        blocked, _ = self._plan(self._width(base + 1), 1)
         for offset, above in enumerate(range(base + 1, layer + 1)):
             if offset == len(pool):
                 pool.append(self._flat_pair())
-            colors = {(chain - above) % 2 for chain in chains}
-            grids = have[above] = self._relax(above, grids, stop, pool[offset], colors)
+            pair = [None, None]
+            for chain in chains:
+                c = (chain - above) % 2
+                pair[c] = self._relax(above, c, grids[1 - c], blocked, stop, pool[offset][c])
+            grids = have[above] = tuple(pair)
 
     def _start(self, walk: _Walk, grids: tuple[np.ndarray, np.ndarray]) -> None:
         """Place ``walk`` on the first exit of its layer that meets its
         target: color 0's exits before color 1's, each in job order."""
-        n = (self.n0, self.n1)
-        for (c, o), exits in zip(_PAIRS, self._exits(walk.layer, grids)):
-            for a in range(n[c] - 1):
-                if int(exits[a]) == walk.target:
-                    walk.runs_rev.append((c, a + 1, n[c] - 1))
-                    walk.cursor = (o, n[o] - 1, a)
-                    return
+        n = self._n
+        for c, o in _PAIRS:
+            exits = self._exits(walk.layer, c, grids[o]).tolist()
+            if walk.target in exits:
+                a = exits.index(walk.target)
+                walk.runs_rev.append((c, a + 1, n[c] - 1))
+                walk.cursor = (o, n[o] - 1, a)
+                return
         raise AssertionError("no exit matches the target distance")
 
     def _step(self, walk: _Walk, have: dict) -> None:
@@ -474,12 +563,12 @@ class SearchGraph:
             walk.runs_rev.append((c, 0, x))
             walk.first_run = (o, 0, y)
             return
-        lo_x, lo_y = _swap(_band(layer, c), c)
-        line = _own(have[layer][c], c)[:, y - lo_y]  # along c's jobs, from lo_x
+        lo_x, lo_y = _band(layer)
+        line = have[layer][c][:, y - lo_y]  # along c's jobs, from lo_x
         d = int(line[x - lo_x])
-        lo_y_prev, lo_x_prev = _swap(_band(layer - 1, o), o)
-        prev = _own(have[layer - 1][o], o)[y - lo_y_prev, :]  # along c's jobs, from lo_x_prev
-        into = _own(self._dp["into"][c], c)[:, y]
+        lo_y_prev, lo_x_prev = _band(layer - 1)
+        prev = have[layer - 1][o][y - lo_y_prev]  # along c's jobs, from lo_x_prev
+        into = self._dp["into"][c][:, y]
         # Change color at the first x (from the block's end down) where the
         # layer below plus the weight gives d, else stay in the block.
         while x <= lo_x_prev or int(prev[x - 1 - lo_x_prev]) + int(into[x]) != d:
@@ -491,7 +580,7 @@ class SearchGraph:
 
     def _materialize(self, runs: list[tuple[int, int, int]]) -> list[Job]:
         """Lay out the block runs; border blocks take the cheaper direction."""
-        blocks = [list(self._jobs_of(color)[lo : hi + 1]) for color, lo, hi in runs]
+        blocks = [list(self._jobs[color][lo : hi + 1]) for color, lo, hi in runs]
         # Inner blocks always run upward; the first and last block face a
         # single neighbor and flip when that lowers the junction cost.
         first, anchor = blocks[0], blocks[1][0].temperature
@@ -503,7 +592,7 @@ class SearchGraph:
         return [job for block in blocks for job in block]
 
     def _reconstruct_two_blocks(self, target: int) -> list[Job]:
-        for first, second in ((self.jobs0, self.jobs1), (self.jobs1, self.jobs0)):
+        for first, second in (self._jobs, self._jobs[::-1]):
             for first_rev in (False, True):
                 for second_rev in (False, True):
                     seq = list(first[::-1] if first_rev else first)
@@ -538,27 +627,100 @@ def grid_dtype(max_changes: int, span: int) -> type[np.signedinteger]:
     return np.int32 if (max_changes + 4) * span <= 1 << 30 else np.int64
 
 
-def _add(a: np.ndarray, b: np.ndarray, buffer: np.ndarray | None) -> np.ndarray:
-    """``a + b``, written to the front of the flat ``buffer`` if one is given."""
-    return np.add(a, b, out=None if buffer is None else buffer[: b.size].reshape(b.shape))
+# Crossovers of pass_plan, in band width (a band grid's shortest side).
+# Measured on a 2-core x86-64 KVM guest with numpy 2.4, pricing 20 and 40
+# layers of (w + 10) + (w + 10) and (w + 20) + (w + 20) jobs: the blocked
+# form took 6.3-13.0 ms against 6.9-14.0 ms at w = 200 and tied at 150;
+# two threads took 10.6-24.4 ms against 11.3-30.7 ms at 300, 12.2-30.4
+# against 16.1-31.4 ms at 350, and lost at 200 (7.8-16.0 against
+# 6.3-13.0 ms).  Each row of this comment is the range over 2-4 runs.
+_BLOCKED_FROM = 200
+_THREADS_FROM = 300
 
 
-def _band(layer: int, color: int) -> tuple[int, int]:
-    """Smallest ``(i, j)`` of a reachable node on ``layer``'s ``color`` grid.
+def pass_plan(width: int, cpus: int) -> tuple[bool, bool]:
+    """Whether band grids ``width`` wide are relaxed in the blocked form,
+    and whether the forward pass runs its two parity chains on two threads
+    when ``cpus`` CPUs are usable.
 
-    Such a node closes ``layer + 1`` alternating blocks ending in
-    ``color``, so that color has used at least ``ceil((layer + 1) / 2)``
+    :func:`_blocked_minimum` beats ``minimum.accumulate`` from about
+    ``_BLOCKED_FROM`` rows.  It releases the GIL, so two chains on two
+    threads beat one from about ``_THREADS_FROM``; narrower bands lose more
+    to starting threads and to passing the GIL than they gain.
+    """
+    return width >= _BLOCKED_FROM, cpus >= 2 and width >= _THREADS_FROM
+
+
+def _blocked_minimum(grid: np.ndarray) -> None:
+    """Running minimum down the rows of the C-contiguous ``grid``, in place.
+
+    ``minimum.accumulate`` along axis 0 runs one strided scalar loop per
+    column and holds the GIL when a column has 500 or fewer cells.  Here
+    the rows are cut into blocks of about ``sqrt(rows)``: row ``r`` of
+    every block takes the minimum with row ``r - 1`` of its block in one
+    call, the block ends take their running minimum, and one call carries
+    each block end into the rows of the next block.  Rows past the last
+    whole block follow one at a time.  Every call works on whole rows.
+    """
+    rows, cols = grid.shape
+    size = max(math.isqrt(rows), 1)
+    count = rows // size
+    blocks = grid[: count * size].reshape(count, size, cols)
+    for r in range(1, size):
+        np.minimum(blocks[:, r - 1], blocks[:, r], out=blocks[:, r])
+    ends = blocks[:, -1]
+    np.minimum.accumulate(ends, axis=0, out=ends)
+    np.minimum(blocks[1:, :-1], blocks[:-1, -1:], out=blocks[1:, :-1])
+    for r in range(count * size, rows):
+        np.minimum(grid[r - 1], grid[r], out=grid[r])
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_two_threads(first: Callable[[], None], second: Callable[[], None]) -> None:
+    """Run ``first`` on a new thread and ``second`` on this one, and
+    re-raise what ``first`` raised once both are done."""
+    raised: list[BaseException] = []
+
+    def run() -> None:
+        try:
+            first()
+        except BaseException as exc:  # re-raised on the calling thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, name="calsched-chain")
+    thread.start()
+    try:
+        second()
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
+
+
+def _junctions(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """``2 * max(high - low, 0)`` over the broadcast shape, in their dtype."""
+    weights = np.subtract(high, low)
+    np.maximum(weights, 0, out=weights)
+    return np.add(weights, weights, out=weights)
+
+
+def _band(layer: int) -> tuple[int, int]:
+    """Smallest ``(own, other)`` job pair of a reachable node on either of
+    ``layer``'s grids, in that grid's own order.
+
+    Such a node closes ``layer + 1`` alternating blocks ending in the
+    grid's color, so that color has used at least ``ceil((layer + 1) / 2)``
     jobs and the other at least ``floor((layer + 1) / 2)``; no other node
     of the grid has a finite distance, and only the band from this corner
     is relaxed and stored.
     """
-    return _swap(((layer + 2) // 2 - 1, (layer + 1) // 2 - 1), color)
-
-
-def _own(grid: np.ndarray, color: int) -> np.ndarray:
-    """``grid``, stored ``(n0, n1)``, as a view indexed by ``color``'s job
-    first and the other color's second: the grid itself or its ``.T``."""
-    return grid if color == 0 else grid.T
+    return (layer + 2) // 2 - 1, (layer + 1) // 2 - 1
 
 
 def _swap(pair: tuple[int, int], color: int) -> tuple[int, int]:

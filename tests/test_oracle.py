@@ -172,6 +172,32 @@ class TestSizeLimits:
         monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "12")
         assert brute_force_optimal(inst, 3).feasible
 
+    def test_default_cap_fits_the_table_limit(self):
+        assert oracle.DEFAULT_MAX_JOBS == 16
+        assert oracle.table_bytes(16, 15, np.int32) == 64 << 20 <= oracle.MAX_TABLE_BYTES
+        assert oracle.table_bytes(20, 19, np.int32) > oracle.MAX_TABLE_BYTES
+
+    @pytest.mark.parametrize("command", [["sweep"], ["solve", "--max-color-changes", "3"]])
+    def test_oversized_table_refused_before_allocating(self, command, tmp_path, monkeypatch, capsys):
+        # 45 merged jobs would need petabytes; with the job limit raised,
+        # the byte bound refuses the table before np.full is reached.
+        from calsched.cli import main
+
+        def full(*args, **kwargs):
+            raise AssertionError("np.full reached")
+
+        rng = random.Random(45)
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "".join(f"j{i},{rng.randint(0, 10**6) / 1000},{i % 3}\n" for i in range(45)),
+            encoding="utf-8",
+        )
+        monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "100")
+        monkeypatch.setattr(np, "full", full)
+        assert main([command[0], "--input", str(path), *command[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("schedule_cap", [0, -1])
     def test_schedule_cap_below_one_rejected(self, schedule_cap):
         inst = make_two_color([1, 4], [2, 3])

@@ -1,6 +1,7 @@
 import heapq
 import itertools
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -23,11 +24,12 @@ from calsched import (
 )
 from calsched import solver
 from calsched.core import MAGNITUDE_LIMIT, max_merged_color_changes, pareto_table
-from calsched.solver import _band, pareto_front
+from calsched.solver import _band, _swap, pareto_front
 from conftest import (
     child_peak_rss_mb,
     job_records,
     make_two_color,
+    run_child,
     three_color_instance,
     two_color_instances,
 )
@@ -135,7 +137,7 @@ class TestGraphStructure:
         for node in dist:
             if node[0] == "grid":
                 _, layer, color, i, j = node
-                lo_i, lo_j = _band(layer, color)
+                lo_i, lo_j = _swap(_band(layer), color)
                 assert i - 1 >= lo_i and j - 1 >= lo_j, node
 
 
@@ -377,16 +379,22 @@ class TestCheckpoints:
     )
     @settings(max_examples=60, deadline=None)
     def test_stride_does_not_change_answers(self, records):
-        # Stride 1 keeps every layer and recomputes nothing, and int64 grids
-        # hold every value: the reference.
+        # Stride 1 keeps every layer and recomputes nothing, int64 grids
+        # hold every value, and these bands are narrow enough for the
+        # sequential accumulate form: the reference.  The forced plans run
+        # the blocked kernel, on one thread and with the chains on two.
         instance = build_instance(records)
         seen = []
-        for stride, dtype in itertools.product((1, 2, 3, None), (np.int64, None)):
+        for stride, dtype, plan in itertools.product(
+            (1, 2, 3, None), (np.int64, None), (None, (True, False), (True, True))
+        ):
             with pytest.MonkeyPatch.context() as mp:
                 if stride is not None:
                     mp.setattr(solver, "checkpoint_stride", lambda layers, c=stride: c)
                 if dtype is not None:
                     mp.setattr(solver, "grid_dtype", lambda changes, span, d=dtype: d)
+                if plan is not None:
+                    mp.setattr(solver, "pass_plan", lambda width, cpus, p=plan: p)
                 table, solve = pareto_front(instance)
                 budgets = [k for k, value in table if value is not None]
                 batch = solve(budgets)
@@ -407,14 +415,15 @@ class TestCheckpoints:
         calls = []
         real_relax = solver.SearchGraph._relax
         monkeypatch.setattr(
-            solver.SearchGraph, "_relax", lambda *a, **kw: calls.append(a[1]) or real_relax(*a, **kw)
+            solver.SearchGraph, "_relax", lambda *a, **kw: calls.append(a[1:3]) or real_relax(*a, **kw)
         )
         table, solve = pareto_front(instance)
-        priced = len(calls) + 1  # the pass relaxes every layer from 2 up
+        priced = len({layer for layer, _ in calls}) + 1  # the pass relaxes every layer from 2 up
         budgets = [k for k, value in table if value is not None]
         calls.clear()
         results = solve(budgets)
-        assert 0 < len(calls) <= priced
+        # Each (layer, color) grid is relaxed again at most once.
+        assert 0 < len(calls) == len(set(calls)) <= 2 * priced
         assert len({result.changes for result in results}) > priced // 2
         assert results == [shortest_schedule(instance, k) for k in budgets]
 
@@ -475,3 +484,86 @@ class TestCheckpoints:
             """
         )
         assert peak_mb < 512, peak_mb
+
+
+class TestPassPlan:
+    """The running-minimum kernel and the chain threads of the forward pass."""
+
+    def test_narrow_bands_accumulate_on_one_thread(self):
+        for cpus in (1, 2, 64):
+            assert solver.pass_plan(solver._BLOCKED_FROM - 1, cpus) == (False, False)
+            assert solver.pass_plan(60, cpus) == (False, False)
+
+    def test_wide_bands_block_and_thread_with_two_cpus(self):
+        wide = max(solver._THREADS_FROM, 1000)
+        assert solver.pass_plan(wide, 1) == (True, False)
+        assert solver.pass_plan(wide, 2) == (True, True)
+        assert solver.pass_plan(solver._THREADS_FROM, 2) == (True, True)
+        assert solver.pass_plan(solver._THREADS_FROM - 1, 2) == (True, False)
+        assert solver._BLOCKED_FROM < solver._THREADS_FROM
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 9, 10, 17, 24, 99, 100, 101])
+    def test_blocked_minimum_equals_accumulate(self, dtype, rows):
+        rng = np.random.default_rng(rows)
+        grid = rng.integers(-1000, 1000, size=(rows, 7)).astype(dtype)
+        expected = np.minimum.accumulate(grid, axis=0)
+        solver._blocked_minimum(grid)
+        assert grid.dtype == dtype
+        assert np.array_equal(grid, expected)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_blocked_minimum_on_a_view_into_a_flat_buffer(self, dtype):
+        # As in the pass: a band grid at the front of a larger flat buffer,
+        # whose tail must stay untouched.
+        buffer = np.full(23 * 11 + 5, 7777, dtype=dtype)
+        grid = buffer[: 19 * 11].reshape(19, 11)
+        grid[...] = np.random.default_rng(3).integers(-500, 500, size=(19, 11))
+        expected = np.minimum.accumulate(grid, axis=0)
+        solver._blocked_minimum(grid)
+        assert np.array_equal(grid, expected)
+        assert (buffer[19 * 11 :] == 7777).all()
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        rng = random.Random(8)
+        temps = rng.sample(range(1, 1000), 40)
+        instance = make_two_color(temps[:20], temps[20:])
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (True, True))
+        real_relax = solver.SearchGraph._relax
+
+        def relax(graph, *args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker chain failed")
+            return real_relax(graph, *args, **kwargs)
+
+        monkeypatch.setattr(solver.SearchGraph, "_relax", relax)
+        before = threading.active_count()
+        graph = build_search_graph(instance, 10)
+        with pytest.raises(RuntimeError, match="worker chain failed"):
+            graph.best_under_cap(10)
+        assert threading.active_count() == before
+
+    def test_threaded_solve_imports_no_concurrent_futures(self, tmp_path):
+        # A thread start plus join costs about 130 us; importing
+        # concurrent.futures would cost 7-9 ms on every CLI run.
+        rng = random.Random(9)
+        temps = rng.sample(range(1, 10**6), 60)
+        path = tmp_path / "two.csv"
+        path.write_text(
+            "".join(f"j{i},{t / 1000},{i % 2}\n" for i, t in enumerate(temps)), encoding="utf-8"
+        )
+        run_child(
+            f"""
+            import contextlib, io, sys, threading
+            from calsched import cli, solver
+            solver.pass_plan = lambda width, cpus: (True, True)
+            started = []
+            start = threading.Thread.start
+            threading.Thread.start = lambda thread: started.append(thread) or start(thread)
+            argv = ["solve", "--input", {str(path)!r}, "--max-color-changes", "12"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            assert started
+            assert "concurrent.futures" not in sys.modules
+            """
+        )
