@@ -188,9 +188,8 @@ class SearchGraph:
         optimum with exactly ``k`` changes for every ``k`` priced so far
         (index 0 unused), and ``best[k]`` the best ``(value, changes)``
         with at most ``k`` changes; the number of layers priced is
-        ``len(tau) - 2``.  ``t_grid`` holds the temperatures in the grid
-        dtype, and ``cpus`` the number of CPUs this process may run on,
-        read once for :func:`pass_plan`.
+        ``len(tau) - 2``.  ``cpus`` is the number of CPUs this process may
+        run on, read once for :func:`pass_plan`.
         """
         if self._dp:
             return self._dp
@@ -208,7 +207,6 @@ class SearchGraph:
         t_grid = tuple(tc.astype(dtype) for tc in t)
         self._dp.update(
             t=t,
-            t_grid=t_grid,
             entry=entry,
             into=tuple(_junctions(t_grid[o][None, :], t_grid[c][:, None]) for c, o in _PAIRS),
             into_t=None,  # each into[c].T, for the accumulate form; see _plan
@@ -310,8 +308,7 @@ class SearchGraph:
         blocked, threaded = pass_plan(width, cpus)
         dp = self._dp
         if not blocked and dp["into_t"] is None:
-            t = dp["t_grid"]
-            dp["into_t"] = tuple(_junctions(t[o][:, None], t[c][None, :]) for c, o in _PAIRS)
+            dp["into_t"] = tuple(np.ascontiguousarray(weights.T) for weights in dp["into"])
         return blocked, threaded
 
     def _width(self, layer: int) -> int:
