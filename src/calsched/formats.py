@@ -24,11 +24,14 @@ from dataclasses import dataclass
 
 from .core import (
     Instance,
+    Job,
     Schedule,
     ValidationError,
     build_instance,
+    color_changes,
     format_temperature,
     parse_record,
+    total_temperature_change,
 )
 from .transforms import check_canonical_form
 
@@ -264,30 +267,22 @@ def verify_schedule(instance: Instance, ids: list[str]) -> dict:
     """Recompute metrics for an externally supplied id sequence.
 
     The sequence must cover every expanded job id exactly once.  Metrics
-    come straight from the raw (temperature, color) sequence; the
+    come from the expanded job sequence, one job per id; the
     canonical-form report groups consecutive equal jobs back together.
     """
-    member_map: dict[str, tuple[int, int, str]] = {}
-    for job in instance.jobs:
-        for member in job.members:
-            member_map[member] = (job.temperature, job.color, job.id)
-    expected = set(member_map)
-    if len(ids) != len(expected) or set(ids) != expected:
+    member_map: dict[str, Job] = {m: job for job in instance.jobs for m in job.members}
+    if len(ids) != len(member_map) or set(ids) != member_map.keys():
         raise ValidationError("schedule does not cover the instance's jobs exactly once")
-    temps = [member_map[i][0] for i in ids]
-    colors = [member_map[i][1] for i in ids]
-    total = sum(abs(b - a) for a, b in zip(temps, temps[1:]))
-    changes = sum(1 for a, b in zip(colors, colors[1:]) if a != b)
+    expanded = [member_map[i] for i in ids]
     # Group members of one merged job back together when they are adjacent.
     merged_order: list[str] = []
-    for i in ids:
-        merged_id = member_map[i][2]
-        if not merged_order or merged_order[-1] != merged_id:
-            merged_order.append(merged_id)
+    for job in expanded:
+        if not merged_order or merged_order[-1] != job.id:
+            merged_order.append(job.id)
     report: dict = {
         "valid": True,
-        "T": format_temperature(total),
-        "C": changes,
+        "T": format_temperature(total_temperature_change(expanded)),
+        "C": color_changes(expanded),
     }
     if len(merged_order) == len(instance.jobs) and len(instance.colors) <= 2:
         schedule = Schedule(instance=instance, order=tuple(merged_order))

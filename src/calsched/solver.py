@@ -149,14 +149,6 @@ class SearchGraph:
         object.__setattr__(self, "_n", tuple(len(js) for js in jobs))
 
     @property
-    def jobs0(self) -> tuple[Job, ...]:
-        return self._jobs[0]
-
-    @property
-    def jobs1(self) -> tuple[Job, ...]:
-        return self._jobs[1]
-
-    @property
     def n0(self) -> int:
         return self._n[0]
 
@@ -188,8 +180,9 @@ class SearchGraph:
         optimum with exactly ``k`` changes for every ``k`` priced so far
         (index 0 unused), and ``best[k]`` the best ``(value, changes)``
         with at most ``k`` changes; the number of layers priced is
-        ``len(tau) - 2``.  ``cpus`` is the number of CPUs this process may
-        run on, read once for :func:`pass_plan`.
+        ``len(tau) - 2``.  ``t_grid`` holds ``t`` in the grid dtype, for the
+        weights :meth:`_plan` builds, and ``cpus`` the number of CPUs this
+        process may run on, read once for :func:`pass_plan`.
         """
         if self._dp:
             return self._dp
@@ -208,8 +201,9 @@ class SearchGraph:
         self._dp.update(
             t=t,
             entry=entry,
-            into=tuple(_junctions(t_grid[o][None, :], t_grid[c][:, None]) for c, o in _PAIRS),
-            into_t=None,  # each into[c].T, for the accumulate form; see _plan
+            t_grid=t_grid,
+            into=None,  # built by _plan for the blocked form
+            into_t=None,  # each into[c].T, built by _plan for the accumulate form
             exit=tuple(
                 t[o][-1] + np.minimum(np.abs(t[c][1:] - t[o][-1]), abs(int(t[c][-1] - t[o][-1])))
                 + (t[c][-1] - t[c][1:])
@@ -303,12 +297,18 @@ class SearchGraph:
 
     def _plan(self, width: int, cpus: int) -> tuple[bool, bool]:
         """:func:`pass_plan` for this graph.  Before any chain runs, the
-        calling thread builds the transposed weights that the accumulate
-        form of :meth:`_relax` reads."""
+        calling thread builds the weights that the picked form of
+        :meth:`_relax` reads, the first time it is picked: ``into`` for the
+        blocked form, ``into_t`` for the accumulate form."""
         blocked, threaded = pass_plan(width, cpus)
         dp = self._dp
-        if not blocked and dp["into_t"] is None:
-            dp["into_t"] = tuple(np.ascontiguousarray(weights.T) for weights in dp["into"])
+        key = "into" if blocked else "into_t"
+        if dp[key] is None:
+            t = dp["t_grid"]
+            if blocked:  # c's jobs down, o's jobs across
+                dp[key] = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
+            else:
+                dp[key] = tuple(_junctions(t[o][:, None], t[c][None, :]) for c, o in _PAIRS)
         return blocked, threaded
 
     def _width(self, layer: int) -> int:
@@ -565,7 +565,9 @@ class SearchGraph:
         d = int(line[x - lo_x])
         lo_y_prev, lo_x_prev = _band(layer - 1)
         prev = have[layer - 1][o][y - lo_y_prev]  # along c's jobs, from lo_x_prev
-        into = self._dp["into"][c][:, y]
+        # into[c][:, y] is into_t[c][y]; read whichever layout _plan built.
+        weights = self._dp["into"]
+        into = weights[c][:, y] if weights is not None else self._dp["into_t"][c][y]
         # Change color at the first x (from the block's end down) where the
         # layer below plus the weight gives d, else stay in the block.
         while x <= lo_x_prev or int(prev[x - 1 - lo_x_prev]) + int(into[x]) != d:

@@ -1,12 +1,16 @@
 """Schedule rewrite rules that never increase either cost metric.
 
-Each public operation takes a schedule and returns an improved schedule
-together with a trace of the steps applied.  The rules build on each
-other: internal sorting of blocks, merging of overlapping same-color
-blocks, reordering of the same-color block sequences, and finally a full
-normal form in which every inner block runs in increasing temperature
-order.  Operations establish their own prerequisites, so any valid
-schedule is accepted.
+The rules build on each other: internal sorting of blocks, merging of
+overlapping same-color blocks, reordering of the same-color block
+sequences, and finally a full normal form in which every inner block runs
+in increasing temperature order.  The first three rewrites return the
+improved schedule together with a trace of the steps applied;
+:func:`normalize` returns only the schedule.  Operations establish their
+own prerequisites, so any valid schedule is accepted.
+
+Each canonical-form property has one finder over the block list, which
+lists where the property fails.  A rewrite stage loops over its finder's
+output, and :func:`check_canonical_form` reports the same four lists.
 
 All rules are constructive improvements: for every step the total
 temperature change and the color-change count of the schedule are less
@@ -16,6 +20,8 @@ than or equal to their values before the step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable
 
 from .core import (
     Job,
@@ -61,10 +67,7 @@ def four_point_inequality(a: int, b: int, c: int, d: int) -> bool:
 
 
 def _flatten(blocks: _Blocks) -> list[Job]:
-    out: list[Job] = []
-    for _, jobs in blocks:
-        out.extend(jobs)
-    return out
+    return [job for _, jobs in blocks for job in jobs]
 
 
 def _metrics(blocks: _Blocks) -> tuple[int, int]:
@@ -76,16 +79,51 @@ def _to_blocks(schedule: Schedule) -> _Blocks:
     return [(b.color, list(b.jobs)) for b in partition_blocks(schedule)]
 
 
-def _is_sorted(jobs: list[Job]) -> bool:
-    temps = [j.temperature for j in jobs]
-    inc = all(x < y for x, y in zip(temps, temps[1:]))
-    dec = all(x > y for x, y in zip(temps, temps[1:]))
-    return inc or dec
+def _temps(jobs: list[Job]) -> list[int]:
+    return [j.temperature for j in jobs]
 
 
-def _oriented(
-    jobs: list[Job], left: Job | None, right: Job | None
-) -> list[Job]:
+def _increasing(values: list[int]) -> bool:
+    return all(x < y for x, y in zip(values, values[1:]))
+
+
+def _span(jobs: list[Job]) -> tuple[int, int]:
+    temps = _temps(jobs)
+    return min(temps), max(temps)
+
+
+def _unsorted(blocks: _Blocks) -> list[int]:
+    """Blocks whose temperatures are not monotone."""
+    temps = [_temps(jobs) for _, jobs in blocks]
+    return [i for i, t in enumerate(temps) if not (_increasing(t) or _increasing(t[::-1]))]
+
+
+def _intersecting(blocks: _Blocks) -> list[tuple[int, int]]:
+    """Same-color block pairs ``(r, s)``, ``r < s``, whose spans intersect."""
+    spans = [_span(jobs) for _, jobs in blocks]
+    return [
+        (r, s)
+        for r, s in combinations(range(len(blocks)), 2)
+        if blocks[r][0] == blocks[s][0]
+        and spans[r][0] <= spans[s][1]
+        and spans[s][0] <= spans[r][1]
+    ]
+
+
+def _unincreasing(blocks: _Blocks) -> list[int]:
+    """Colors, ascending, whose block maxima do not increase along the schedule."""
+    maxima: dict[int, list[int]] = {}
+    for color, jobs in blocks:
+        maxima.setdefault(color, []).append(_span(jobs)[1])
+    return [color for color in sorted(maxima) if not _increasing(maxima[color])]
+
+
+def _not_ascending(blocks: _Blocks) -> list[int]:
+    """Inner blocks (neither first nor last) that do not run upward."""
+    return [i for i in range(1, len(blocks) - 1) if not _increasing(_temps(blocks[i][1]))]
+
+
+def _oriented(jobs: list[Job], left: Job | None, right: Job | None) -> list[Job]:
     """Monotone ordering of ``jobs`` minimizing the adjacent transitions.
 
     Ties prefer increasing order, which keeps results deterministic.
@@ -113,14 +151,7 @@ class _Recorder:
 
     def record(self, rule: str, touched: tuple[int, ...], blocks: _Blocks) -> None:
         t_after, c_after = _metrics(blocks)
-        step = ImprovementStep(
-            rule=rule,
-            blocks=touched,
-            t_before=self._t,
-            t_after=t_after,
-            c_before=self._c,
-            c_after=c_after,
-        )
+        step = ImprovementStep(rule, touched, self._t, t_after, self._c, c_after)
         if t_after > self._t or c_after > self._c:
             raise AssertionError(f"rewrite increased a metric: {step}")
         self.steps.append(step)
@@ -129,23 +160,18 @@ class _Recorder:
 
 def _sort_internally(blocks: _Blocks, rec: _Recorder) -> None:
     """Make every block monotone in temperature (left-to-right sweep)."""
-    for i, (color, jobs) in enumerate(blocks):
-        if _is_sorted(jobs):
-            continue
+    for i in _unsorted(blocks):
         left = blocks[i - 1][1][-1] if i > 0 else None
         right = blocks[i + 1][1][0] if i + 1 < len(blocks) else None
-        blocks[i] = (color, _oriented(jobs, left, right))
+        blocks[i] = (blocks[i][0], _oriented(blocks[i][1], left, right))
         rec.record("sort-block", (i,), blocks)
 
 
 def _insert_sorted(jobs: list[Job], job: Job) -> None:
     """Insert ``job`` into a monotone block, keeping it monotone."""
-    temps = [j.temperature for j in jobs]
-    ascending = len(temps) < 2 or temps[0] < temps[-1]
-    if ascending:
-        pos = next((k for k, t in enumerate(temps) if t > job.temperature), len(temps))
-    else:
-        pos = next((k for k, t in enumerate(temps) if t < job.temperature), len(temps))
+    sign = 1 if len(jobs) < 2 or jobs[0].temperature < jobs[-1].temperature else -1
+    key = sign * job.temperature
+    pos = next((k for k, j in enumerate(jobs) if sign * j.temperature > key), len(jobs))
     jobs.insert(pos, job)
 
 
@@ -163,83 +189,28 @@ def _elide_empty(blocks: _Blocks, idx: int, rec: _Recorder) -> None:
     rec.record("merge-adjacent-blocks", (idx,), blocks)
 
 
-def _find_intersecting_pair(blocks: _Blocks) -> tuple[int, int] | None:
-    spans = [
-        (min(j.temperature for j in jobs), max(j.temperature for j in jobs))
-        for _, jobs in blocks
-    ]
-    for r in range(len(blocks)):
-        for s in range(r + 1, len(blocks)):
-            if blocks[r][0] != blocks[s][0]:
-                continue
-            lo_r, hi_r = spans[r]
-            lo_s, hi_s = spans[s]
-            if lo_r <= hi_s and lo_s <= hi_r:
-                return r, s
-    return None
-
-
 def _remove_intersections(blocks: _Blocks, rec: _Recorder) -> None:
     """Merge overlapping same-color blocks until all spans are disjoint.
 
     The donor's jobs that fall strictly inside the recipient's span move
-    one by one into their fitting position there; the recipient's border
-    jobs never change, so no transition cost can grow.  An emptied donor
-    is elided, merging its neighbors.
+    in ascending order into their fitting position there; the recipient's
+    border jobs, and so its span, never change, so no transition cost can
+    grow.  An emptied donor is elided, merging its neighbors.
     """
-    while True:
-        pair = _find_intersecting_pair(blocks)
-        if pair is None:
-            return
-        r, s = pair
-        lo_r = min(j.temperature for j in blocks[r][1])
-        hi_r = max(j.temperature for j in blocks[r][1])
-        lo_s = min(j.temperature for j in blocks[s][1])
-        hi_s = max(j.temperature for j in blocks[s][1])
+    while pairs := _intersecting(blocks):
+        r, s = pairs[0]
+        (lo_r, hi_r), (lo_s, hi_s) = _span(blocks[r][1]), _span(blocks[s][1])
         # The nested block donates; on partial overlap the later one does.
-        if lo_s < lo_r and hi_s > hi_r:
-            donor, recipient = r, s
-        else:
-            donor, recipient = s, r
-        lo_rec = min(j.temperature for j in blocks[recipient][1])
-        hi_rec = max(j.temperature for j in blocks[recipient][1])
-        while True:
-            inside = [
-                j for j in blocks[donor][1] if lo_rec < j.temperature < hi_rec
-            ]
-            if not inside:
-                break
-            job = min(inside, key=lambda j: j.temperature)
+        donor, recipient = (r, s) if lo_s < lo_r and hi_s > hi_r else (s, r)
+        lo_rec, hi_rec = _span(blocks[recipient][1])
+        inside = [j for j in blocks[donor][1] if lo_rec < j.temperature < hi_rec]
+        for job in sorted(inside, key=lambda j: j.temperature):
             blocks[donor][1].remove(job)
             _insert_sorted(blocks[recipient][1], job)
-            if not blocks[donor][1]:
-                break
         emptied = not blocks[donor][1]
         rec.record("merge-intersecting-blocks", (r, s), blocks)
         if emptied:
             _elide_empty(blocks, donor, rec)
-
-
-def _same_color_maxima(blocks: _Blocks, color: int) -> list[int]:
-    return [
-        max(j.temperature for j in jobs) for c, jobs in blocks if c == color
-    ]
-
-
-def _externally_increasing(blocks: _Blocks) -> bool:
-    for color in {c for c, _ in blocks}:
-        maxima = _same_color_maxima(blocks, color)
-        if any(x >= y for x, y in zip(maxima, maxima[1:])):
-            return False
-    return True
-
-
-def _externally_decreasing(blocks: _Blocks) -> bool:
-    for color in {c for c, _ in blocks}:
-        maxima = _same_color_maxima(blocks, color)
-        if any(x <= y for x, y in zip(maxima, maxima[1:])):
-            return False
-    return True
 
 
 def _reverse_all(blocks: _Blocks) -> None:
@@ -251,7 +222,7 @@ def _reverse_all(blocks: _Blocks) -> None:
 def _find_crossing_quadruplet(blocks: _Blocks) -> int | None:
     """Leftmost index i such that the same-color pairs around blocks
     i and i+1 are ordered in opposite directions."""
-    maxima = [max(j.temperature for j in jobs) for _, jobs in blocks]
+    maxima = [_span(jobs)[1] for _, jobs in blocks]
     for i in range(1, len(blocks) - 2):
         first_up = maxima[i + 1] > maxima[i - 1]
         second_up = maxima[i + 2] > maxima[i]
@@ -294,26 +265,25 @@ def _swap_and_merge(blocks: _Blocks, i: int, rec: _Recorder) -> None:
 
 
 def _sort_externally(blocks: _Blocks, rec: _Recorder) -> None:
-    """Reorder until both same-color block sequences increase externally."""
+    """Reorder until both same-color block sequences increase externally.
+
+    With two colors the blocks alternate, so a schedule without a crossing
+    quadruplet has every same-color sequence running one way; an
+    externally decreasing one is settled by a full reversal.
+    """
     rounds = 0
     limit = len(blocks) + 2
-    while not _externally_increasing(blocks):
+    while _unincreasing(blocks):
         rounds += 1
         if rounds > limit:
             raise AssertionError("external sorting failed to terminate")
-        if _externally_decreasing(blocks):
-            _reverse_all(blocks)
-            rec.record("reverse-schedule", tuple(range(len(blocks))), blocks)
-            continue
         i = _find_crossing_quadruplet(blocks)
         if i is None:
-            # Short schedules: a single decreasing same-color pair with the
-            # other color in one block; a full reversal settles it.
             _reverse_all(blocks)
             rec.record("reverse-schedule", tuple(range(len(blocks))), blocks)
-            if _externally_increasing(blocks):
-                continue
-            raise AssertionError("no crossing quadruplet in unsorted schedule")
+            if _unincreasing(blocks):
+                raise AssertionError("no crossing quadruplet in unsorted schedule")
+            return
         _swap_and_merge(blocks, i, rec)
         _sort_internally(blocks, rec)
         _remove_intersections(blocks, rec)
@@ -322,18 +292,24 @@ def _sort_externally(blocks: _Blocks, rec: _Recorder) -> None:
 def _force_inner_ascending(blocks: _Blocks, rec: _Recorder) -> None:
     """Run every inner block in increasing order (valid once the block
     sequences increase externally; see :func:`four_point_inequality`)."""
-    for i in range(1, len(blocks) - 1):
-        color, jobs = blocks[i]
-        temps = [j.temperature for j in jobs]
-        if all(x < y for x, y in zip(temps, temps[1:])):
-            continue
-        blocks[i] = (color, sorted(jobs, key=lambda j: j.temperature))
+    for i in _not_ascending(blocks):
+        blocks[i] = (blocks[i][0], sorted(blocks[i][1], key=lambda j: j.temperature))
         rec.record("orient-inner-block-ascending", (i,), blocks)
 
 
-def _finish(
-    schedule: Schedule, blocks: _Blocks, rec: _Recorder
+_Stage = Callable[[_Blocks, _Recorder], None]
+# Each stage establishes the prerequisites of the next.
+_STAGES = (_sort_internally, _remove_intersections, _sort_externally, _force_inner_ascending)
+
+
+def _rewrite(
+    schedule: Schedule, stages: tuple[_Stage, ...]
 ) -> tuple[Schedule, ImprovementTrace]:
+    """Run ``stages`` in order on ``schedule``'s blocks, recording every step."""
+    blocks = _to_blocks(schedule)
+    rec = _Recorder(blocks)
+    for stage in stages:
+        stage(blocks, rec)
     result = Schedule.from_jobs(schedule.instance, _flatten(blocks))
     return result, ImprovementTrace(steps=tuple(rec.steps))
 
@@ -344,10 +320,7 @@ def sort_blocks_internally(schedule: Schedule) -> tuple[Schedule, ImprovementTra
     Keeps the block structure (and hence the color-change count) intact;
     the total temperature change never increases.
     """
-    blocks = _to_blocks(schedule)
-    rec = _Recorder(blocks)
-    _sort_internally(blocks, rec)
-    return _finish(schedule, blocks, rec)
+    return _rewrite(schedule, _STAGES[:1])
 
 
 def remove_intersections(schedule: Schedule) -> tuple[Schedule, ImprovementTrace]:
@@ -357,11 +330,7 @@ def remove_intersections(schedule: Schedule) -> tuple[Schedule, ImprovementTrace
     folded into the other; fully absorbed blocks disappear, lowering the
     color-change count.
     """
-    blocks = _to_blocks(schedule)
-    rec = _Recorder(blocks)
-    _sort_internally(blocks, rec)
-    _remove_intersections(blocks, rec)
-    return _finish(schedule, blocks, rec)
+    return _rewrite(schedule, _STAGES[:2])
 
 
 def sort_blocks_externally(schedule: Schedule) -> tuple[Schedule, ImprovementTrace]:
@@ -373,12 +342,7 @@ def sort_blocks_externally(schedule: Schedule) -> tuple[Schedule, ImprovementTra
     Only defined for schedules with at most two colors.
     """
     _require_two_colors(schedule)
-    blocks = _to_blocks(schedule)
-    rec = _Recorder(blocks)
-    _sort_internally(blocks, rec)
-    _remove_intersections(blocks, rec)
-    _sort_externally(blocks, rec)
-    return _finish(schedule, blocks, rec)
+    return _rewrite(schedule, _STAGES[:3])
 
 
 def normalize(schedule: Schedule) -> Schedule:
@@ -390,13 +354,7 @@ def normalize(schedule: Schedule) -> Schedule:
     budget the total temperature change is preserved exactly.
     """
     _require_two_colors(schedule)
-    blocks = _to_blocks(schedule)
-    rec = _Recorder(blocks)
-    _sort_internally(blocks, rec)
-    _remove_intersections(blocks, rec)
-    _sort_externally(blocks, rec)
-    _force_inner_ascending(blocks, rec)
-    return Schedule.from_jobs(schedule.instance, _flatten(blocks))
+    return _rewrite(schedule, _STAGES)[0]
 
 
 def _require_two_colors(schedule: Schedule) -> None:
@@ -412,29 +370,13 @@ def check_canonical_form(schedule: Schedule) -> tuple[bool, list[str]]:
     inner blocks in increasing order.
     """
     _require_two_colors(schedule)
-    violations: list[str] = []
-    blocks = partition_blocks(schedule)
-    for i, block in enumerate(blocks):
-        temps = [j.temperature for j in block.jobs]
-        inc = all(x < y for x, y in zip(temps, temps[1:]))
-        dec = all(x > y for x, y in zip(temps, temps[1:]))
-        if not (inc or dec):
-            violations.append(f"block-not-monotone: block {i}")
-    for r in range(len(blocks)):
-        for s in range(r + 1, len(blocks)):
-            if blocks[r].color != blocks[s].color:
-                continue
-            if blocks[r].t_min <= blocks[s].t_max and blocks[s].t_min <= blocks[r].t_max:
-                violations.append(f"same-color-ranges-intersect: blocks {r},{s}")
-    by_color: dict[int, list[int]] = {}
-    for block in blocks:
-        by_color.setdefault(block.color, []).append(block.t_max)
-    for color in sorted(by_color):
-        maxima = by_color[color]
-        if any(x >= y for x, y in zip(maxima, maxima[1:])):
-            violations.append(f"external-order-not-increasing: color {color}")
-    for i in range(1, len(blocks) - 1):
-        temps = [j.temperature for j in blocks[i].jobs]
-        if not all(x < y for x, y in zip(temps, temps[1:])):
-            violations.append(f"inner-block-not-ascending: block {i}")
+    blocks = _to_blocks(schedule)
+    violations = [f"block-not-monotone: block {i}" for i in _unsorted(blocks)]
+    violations += [
+        f"same-color-ranges-intersect: blocks {r},{s}" for r, s in _intersecting(blocks)
+    ]
+    violations += [
+        f"external-order-not-increasing: color {c}" for c in _unincreasing(blocks)
+    ]
+    violations += [f"inner-block-not-ascending: block {i}" for i in _not_ascending(blocks)]
     return not violations, violations

@@ -65,10 +65,8 @@ def iter_nodes(graph) -> Iterator[Node]:
 
 def iter_arcs(graph) -> Iterator[Arc]:
     """Every arc with its weight."""
-    t = {
-        0: [j.temperature for j in graph.jobs0],
-        1: [j.temperature for j in graph.jobs1],
-    }
+    colors = graph.instance.colors
+    t = {c: [j.temperature for j in graph.instance.sorted_jobs(colors[c])] for c in (0, 1)}
     n = {0: graph.n0, 1: graph.n1}
     cap = graph.max_changes
     for color in (0, 1):

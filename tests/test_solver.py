@@ -524,6 +524,24 @@ class TestPassPlan:
         assert np.array_equal(grid, expected)
         assert (buffer[19 * 11 :] == 7777).all()
 
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_graph_builds_only_the_weights_its_form_reads(self, monkeypatch, blocked):
+        rng = random.Random(12)
+        temps = rng.sample(range(1, 1000), 24)
+        instance = make_two_color(temps[:12], temps[12:])
+        expected = build_search_graph(instance, 9).solve_many(range(1, 10))
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (blocked, False))
+        graph = build_search_graph(instance, 9)
+        assert graph.solve_many(range(1, 10)) == expected
+        built, unused = ("into", "into_t") if blocked else ("into_t", "into")
+        assert graph._dp[unused] is None
+        t = graph._dp["t"]
+        for c, o in ((0, 1), (1, 0)):
+            weights = graph._dp[built][c]
+            assert weights.flags.c_contiguous
+            own_order = weights if blocked else weights.T
+            assert np.array_equal(own_order, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
+
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         rng = random.Random(8)
         temps = rng.sample(range(1, 1000), 40)

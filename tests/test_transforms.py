@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -161,9 +163,14 @@ class TestSortBlocksExternally:
     def test_decreasing_schedule_is_reversed(self):
         s = schedule_from([(7, 1), (5, 0), (3, 1), (1, 0)])
         t_before = total_temperature_change(s)
-        out, _ = sort_blocks_externally(s)
+        out, trace = sort_blocks_externally(s)
         assert externally_increasing(out)
         assert total_temperature_change(out) == t_before
+        # No crossing quadruplet: one full reversal settles it.
+        assert [(step.rule, step.blocks) for step in trace.steps] == [
+            ("reverse-schedule", (0, 1, 2, 3))
+        ]
+        assert out.order == s.order[::-1]
 
     def test_four_block_example(self):
         s = schedule_from([(1, 0), (2, 1), (5, 0), (6, 0), (3, 1)])
@@ -253,3 +260,62 @@ class TestCheckCanonicalForm:
         s = Schedule.from_jobs(inst, inst.jobs)
         with pytest.raises(ValidationError):
             check_canonical_form(s)
+
+
+# One sha256 over the results of every rewrite on GOLDEN_COUNT seeded
+# schedules: each traced rewrite's order and steps, normalize's order and
+# check_canonical_form's verdict.  The rewrites are deterministic, so a
+# refactor that changes any order, step or violation changes the digest.
+GOLDEN_COUNT = 5000
+GOLDEN_DIGEST = "0bf8d6b4379fee77f4c7d908aed2df26d426950c0596bc1c3cf0d1c5d12e204a"
+TRACED_REWRITES = (sort_blocks_internally, remove_intersections, sort_blocks_externally)
+
+
+def golden_schedules(count, seed=20261018):
+    """Two-color schedules of 1-16 jobs in random order.  Temperatures are
+    distinct within a color and drawn from a narrow range, so the colors
+    often share one; some schedules use colors 3 and 8."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 16)
+        colors = rng.choice(((0, 1), (0, 1), (3, 8)))
+        picks = [rng.choice(colors) for _ in range(n)]
+        top = max(picks.count(c) for c in colors) + rng.randint(0, n)
+        records = []
+        for c in colors:
+            for t in rng.sample(range(top), picks.count(c)):
+                records.append((f"j{len(records)}", t, c))
+        inst = build_instance(records)
+        yield Schedule(inst, tuple(rng.sample([r[0] for r in records], n)))
+
+
+def golden_results(schedule):
+    for op in TRACED_REWRITES:
+        out, trace = op(schedule)
+        steps = tuple(
+            (s.rule, s.blocks, s.t_before, s.t_after, s.c_before, s.c_after)
+            for s in trace.steps
+        )
+        yield op.__name__, out.order, steps
+    yield "normalize", normalize(schedule).order
+    yield "check_canonical_form", check_canonical_form(schedule)
+
+
+def test_golden_digest():
+    sha = hashlib.sha256()
+    rules = set()
+    ties = 0
+    for schedule in golden_schedules(GOLDEN_COUNT):
+        temps = [{j.temperature for j in schedule.instance.sorted_jobs(c)} for c in (0, 1, 3, 8)]
+        ties += bool(temps[0] & temps[1] or temps[2] & temps[3])
+        for result in golden_results(schedule):
+            if len(result) == 3:
+                rules.update(step[0] for step in result[2])
+            sha.update(repr(result).encode() + b"\n")
+    # The data must reach every rule and many cross-color ties.
+    assert rules == {
+        "sort-block", "merge-intersecting-blocks", "merge-adjacent-blocks",
+        "swap-adjacent-blocks", "reverse-schedule",
+    }
+    assert ties >= GOLDEN_COUNT // 4
+    assert sha.hexdigest() == GOLDEN_DIGEST
