@@ -5,32 +5,37 @@ exact for the capped problem.  It certifies the polynomial graph solver and
 explores instances with three or more colors, where no polynomial algorithm
 is known.
 
-The subset DP is one dense numpy table ``D[mask, last, k]``: the least
-total change over orderings of the jobs in ``mask`` that end at ``last``
-with exactly ``k`` color changes.  It is stored change-count-major, as
-``(cap + 1, 2^n, n)``, and read through the transposed ``(mask, last, k)``
-view.  It is filled one popcount layer at a time in pull form, and only in
-its band: an ordering of ``size`` jobs has at most ``size - 1`` changes, so
-layer ``size`` reads the leading contiguous rows ``k <= size - 2`` of its
-predecessors and writes rows ``k <= size - 1``; every cell outside the band
-keeps the sentinel.  Each cell ``(mask, nxt)`` reads its one predecessor
-mask ``mask ^ (1 << nxt)``: the minimum over same-color last jobs keeps
-``k``, the minimum over other-color last jobs is shifted by one change.
-Cells of a layer whose next job shares a color are computed together, and
-no two write the same cell.  Unreachable cells hold a sentinel, and no
-cell exceeds it: the same-color minimum includes ``nxt`` itself, whose
-predecessor cell ``(mask ^ (1 << nxt), nxt)`` is never reachable and is
-0 away.  :func:`table_dtype` picks the table's dtype and sentinel from the
-instance: ``int32`` with sentinel ``2**30`` when the job count times the
-temperature span stays below it, which holds for every realistic input
-and halves the table, else ``int64`` with ``core.INF``, below which the
-magnitude bound of :class:`~calsched.core.Instance` keeps every real sum
-exact.  Entries with ``k`` up to some cap do not depend on the table's
-width, so :func:`pareto_front` builds one table at the merged maximum and
-answers the trade-off table and every budget from it.  The color groups
-come from ``sorted(set(colors))``, not ``np.unique``: on numpy 2.4 its
-first call imports ``numpy.ma``, 12-30 ms that every process running the
-oracle would pay.
+The subset DP is ``D[mask, last, k]``: the least total change over
+orderings of the jobs in ``mask`` that end at ``last`` with exactly ``k``
+color changes.  Only cells with ``last`` in ``mask`` and
+``k < popcount(mask)`` can be reached, and the table stores no others: it
+is popcount-ranked, a :class:`RankedTable` of one numpy block per subset
+size ``s``, of shape ``(min(s, cap + 1), s, C(n, s))``, indexed by ``k``,
+the position of ``last`` among the set bits of ``mask`` and the colex rank
+of ``mask`` among the masks of size ``s``.  At 16 jobs it takes 17 MiB in
+``int32``, a quarter of the dense ``(cap + 1, 2^n, n)`` table.
+
+Block ``s`` is filled from block ``s - 1`` in pull form: a target
+``(mask, nxt)`` reads its one predecessor mask ``mask ^ (1 << nxt)`` at
+every predecessor position; a last job of ``nxt``'s color keeps ``k``,
+any other adds a change.  Two penalty-weight arrays carry the color test,
+so no loop runs over color groups: the own-color weights hold the penalty
+``sentinel - 1`` at cross-color pairs, the changed-color weights hold it
+at same-color pairs, and each chain is one add and one minimum over the
+predecessor positions.  No exact value reaches the penalty, so every
+result at or above it is clamped back to the sentinel, and the add cannot
+overflow (:func:`table_dtype`).  :func:`table_dtype` picks the table's
+dtype and sentinel from the instance: ``int32`` with sentinel ``2**30``
+when the job count times the temperature span stays below it, which holds
+for every realistic input and halves the table, else ``int64`` with
+``core.INF``, below which the magnitude bound of
+:class:`~calsched.core.Instance` keeps every real sum exact.  Entries with
+``k`` up to some cap do not depend on the table's width, so
+:func:`pareto_front` builds one table at the merged maximum and answers
+the trade-off table and every budget from it.  The color test compares
+colors pairwise and never calls ``np.unique``: on numpy 2.4 its first call
+imports ``numpy.ma``, 12-30 ms that every process running the oracle would
+pay.
 
 Optimal schedules are read back from the table in lexicographic order of
 their job indices (the instance's merged job order), so a result truncated
@@ -40,10 +45,11 @@ whatever the table's width.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -52,13 +58,12 @@ from .core import INF, Instance, Schedule, max_merged_color_changes, pareto_tabl
 DEFAULT_MAX_JOBS = 16
 DEFAULT_SCHEDULE_CAP = 64
 
-# Masks per subset-DP step are capped so that no temporary holds more than
-# about this many cells (2 MiB in int32, 4 MiB in int64); the table itself
-# then dominates memory.
-_BLOCK_CELLS = 1 << 19
+# Each work array of a table build holds at most this many cells (128 KiB
+# in int32, 256 KiB in int64); the table itself then dominates memory.
+_CHUNK_CELLS = 1 << 15
 
 # The subset-DP table is refused above this size.  At the default job cap
-# it takes at most 64 MiB (16 jobs, 15 changes, int32).
+# it takes at most 17 MiB (16 jobs, 15 changes, int32).
 MAX_TABLE_BYTES = 1 << 30
 
 
@@ -84,9 +89,12 @@ def table_dtype(n: int, span: int) -> tuple[type[np.signedinteger], int]:
     temperatures span ``span``, and its unreachable sentinel.
 
     Once ``n * span < 2**30``, an ordering of any subset costs at most
-    ``(n - 1) * span``, below the sentinel ``2**30``; no cell exceeds the
-    sentinel, and a pull adds one weight of at most ``span`` to a cell, so
-    no value reaches ``2**31`` and ``int32`` is exact.
+    ``(n - 1) * span``, below the penalty ``2**30 - 1`` of the build's
+    weight arrays.  A pull adds a weight of at most the penalty to a cell
+    of at most the sentinel ``2**30``, so no sum exceeds ``2**31 - 1`` and
+    ``int32`` is exact.  In ``int64`` the instance's magnitude bound keeps
+    every cost at most ``2**59``, and the sentinel ``core.INF = 2**61`` plus
+    its penalty stays below ``2**63``.
     """
     if n * span < 1 << 30:
         return np.int32, 1 << 30
@@ -95,8 +103,10 @@ def table_dtype(n: int, span: int) -> tuple[type[np.signedinteger], int]:
 
 def table_bytes(n: int, cap: int, dtype: type[np.signedinteger]) -> int:
     """Bytes of the subset-DP table over ``n`` jobs and change counts up to
-    ``cap``: ``cap + 1`` rows of ``2^n * n`` cells of ``dtype``."""
-    return (cap + 1) * (1 << n) * n * np.dtype(dtype).itemsize
+    ``cap``: per subset size ``s``, ``min(s, cap + 1)`` change counts of
+    ``s`` last jobs in each of ``C(n, s)`` masks, in cells of ``dtype``."""
+    cells = sum(min(s, cap + 1) * math.comb(n, s) * s for s in range(1, n + 1))
+    return cells * np.dtype(dtype).itemsize
 
 
 def _check_size(instance: Instance) -> None:
@@ -137,32 +147,38 @@ def _prepare(instance: Instance) -> tuple[list[int], list[int], list[str]]:
     return temps, colors, ids
 
 
-def _pull(
-    flat: np.ndarray, lasts: np.ndarray, base: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """Per target ``p`` and change count ``k``, the least
-    ``flat[k, base[p] + lasts[i]] + weights[i, p]`` over ``i``: the best way
-    to reach ``p`` from any of ``lasts``.  ``flat`` is the band of the
-    k-major table, one contiguous row of ``mask * n + last`` per ``k``."""
-    reach = np.take(flat, lasts[:, None] + base, axis=1)
-    reach += weights
-    return reach.min(axis=1)
+class RankedTable(NamedTuple):
+    """The subset-DP table, one block per subset size; see the module notes.
+
+    ``blocks[s]`` has shape ``(min(s, cap + 1), s, C(n, s))`` and holds
+    ``D[mask, last, k]`` at ``[k, position of last among the set bits of
+    mask, rank[mask]]``, where ``rank`` is the colex rank of each mask among
+    the masks of its size.
+    """
+
+    blocks: list[np.ndarray]
+    rank: np.ndarray
+
+    def at(self, mask: int) -> np.ndarray:
+        """``D[mask, last, k]`` for every ``last`` in ``mask``, as a
+        ``(k, position of last)`` array; positions ascend with the job."""
+        return self.blocks[mask.bit_count()][:, :, self.rank[mask]]
 
 
 def _subset_dp_table(
     temps: list[int], colors: list[int], cap: int
-) -> tuple[np.ndarray, int]:
-    """``D[mask, last, k]``, shape ``(2^n, n, cap + 1)``, and the sentinel its
-    unreachable cells hold; see the module notes.
+) -> tuple[RankedTable, int]:
+    """The subset-DP table for change counts up to ``cap`` and the sentinel
+    its unreachable cells hold; see the module notes.
 
-    The table is stored k-major, as ``(cap + 1, 2^n, n)``, and returned as
-    the transposed view.  An ordering of ``size`` jobs has at most
-    ``size - 1`` changes, so layer ``size`` reads only the leading
-    contiguous band ``k <= size - 2`` of its predecessors and writes only
-    ``k <= size - 1``; every other cell keeps the sentinel it was filled
-    with.  The color groups avoid ``np.unique`` and its ``numpy.ma``
-    import.  A table larger than ``MAX_TABLE_BYTES`` is refused with
-    :class:`OracleSizeError` before anything is allocated.
+    Block ``s`` is filled in chunks of its flat ``(position, rank)``
+    targets.  A chunk gathers the predecessor block at its targets'
+    predecessor ranks, every predecessor position at once, adds the
+    own-color and the changed-color weights, and reduces each chain over
+    the predecessor positions.  The work arrays are allocated once per
+    build and hold at most ``_CHUNK_CELLS`` cells each.  A table larger
+    than ``MAX_TABLE_BYTES`` is refused with :class:`OracleSizeError`
+    before anything is allocated.
     """
     n = len(temps)
     dtype, sentinel = table_dtype(n, max(temps) - min(temps))
@@ -173,43 +189,93 @@ def _subset_dp_table(
             f"changes needs a {size / 2**20:,.0f} MiB table, above the "
             f"{MAX_TABLE_BYTES >> 20:,} MiB limit"
         )
+    penalty = sentinel - 1
     t = np.array(temps, dtype=np.int64)
+    same = np.array(colors)[:, None] == np.array(colors)[None, :]
     weights = np.abs(t[:, None] - t[None, :]).astype(dtype)
-    color = np.array(colors)
-    jobs = np.arange(n)
-    table = np.full((cap + 1, 1 << n, n), sentinel, dtype=dtype)
-    table[0, 1 << jobs, jobs] = 0
-    flat = table.reshape(cap + 1, -1)  # column mask * n + last
-    masks = np.arange(1 << n)
-    popcount = sum((masks >> j) & 1 for j in range(n))
-    groups = [(jobs[color == c], jobs[color != c]) for c in sorted(set(colors))]
-    for size in range(2, n + 1):
-        read = min(size - 1, cap + 1)  # change counts a predecessor can hold
-        write = min(size, cap + 1)
-        band = flat[:read]
-        layer = masks[popcount == size]
-        step = max(1, _BLOCK_CELLS // (n * n * write))
-        for start in range(0, len(layer), step):
-            block = layer[start : start + step]
-            for own, foreign in groups:
-                # Every (mask, nxt) of this block with nxt of this color, and
-                # the column offset of its one predecessor mask.
-                at, pick = np.nonzero(block[:, None] >> own & 1)
-                grown, nxt = block[at], own[pick]
-                base = (grown ^ (1 << nxt)) * n
-                # own holds nxt itself, whose predecessor cell is the
-                # sentinel at weight 0, so no cell exceeds the sentinel
-                cell = np.full((write, len(nxt)), sentinel, dtype=dtype)
-                cell[:read] = _pull(band, own, base, weights[own][:, nxt])
-                if foreign.size and write > 1:
-                    shifted = _pull(band, foreign, base, weights[foreign][:, nxt])
-                    np.minimum(cell[1:], shifted[: write - 1], out=cell[1:])
-                flat[:write, grown * n + nxt] = cell
-    return table.transpose(1, 2, 0), sentinel
+    # Flat over (nxt, last); the weights are symmetric.
+    own_w = np.where(same, weights, penalty).ravel()
+    changed_w = np.where(same, penalty, weights).ravel()
+
+    # Per layer: the job at each (position, rank) of it and of the layer
+    # below, that job's bit, each mask, and the rank of each target's
+    # predecessor mask; rank[mask] is filled in layer by layer.  Every
+    # index is in range, and np.take's mode="clip" writes straight into
+    # out=, where the default mode would write through a temporary copy.
+    counts = [math.comb(n, s) for s in range(n + 1)]
+    widest = max(s * c for s, c in enumerate(counts))
+    jobs_below, jobs_at, bits, preds = (
+        np.empty(widest, dtype=np.intp) for _ in range(4)
+    )
+    masks = np.empty(max(counts), dtype=np.intp)
+    ranks = np.arange(max(counts))
+    rank = np.zeros(1 << n, dtype=np.intp)
+    rank[1 << ranks[:n]] = ranks[:n]
+    gathered, summed, weight, shifted = (
+        np.empty(_CHUNK_CELLS, dtype=dtype) for _ in range(4)
+    )
+    lasts, scaled = (np.empty(_CHUNK_CELLS, dtype=np.intp) for _ in range(2))
+    high = np.empty(_CHUNK_CELLS, dtype=bool)
+
+    blocks = [np.empty((0, 0, 1), dtype=dtype), np.zeros((1, 1, n), dtype=dtype)]
+    jobs_below[:n] = np.arange(n)
+    for s in range(2, n + 1):
+        count = counts[s]
+        read = min(s - 1, cap + 1)  # change counts a predecessor can hold
+        write = min(s, cap + 1)
+        prev = blocks[-1]
+        below = jobs_below[: (s - 1) * counts[s - 1]].reshape(s - 1, -1)
+        pos = jobs_at[: s * count].reshape(s, count)
+        bit = bits[: s * count].reshape(s, count)
+        pred = preds[: s * count].reshape(s, count)
+        mask = masks[:count]
+        # Colex order: the masks whose top job is j follow the order of
+        # their other jobs, which are the first C(j, s - 1) masks below.
+        for j in range(s - 1, n):
+            lo, hi = math.comb(j, s), math.comb(j + 1, s)
+            pos[:-1, lo:hi] = below[:, : hi - lo]
+            pos[-1, lo:hi] = j
+        np.left_shift(1, pos, out=bit)
+        np.sum(bit, axis=0, out=mask)
+        rank[mask] = ranks[:count]
+        np.bitwise_xor(bit, mask, out=bit)
+        np.take(rank, bit, out=pred, mode="clip")
+
+        block = np.empty((write, s, count), dtype=dtype)
+        cells = block.reshape(write, s * count)
+        targets, nxt = pred.reshape(-1), pos.reshape(-1)
+        step = _CHUNK_CELLS // (read * (s - 1))
+        for a in range(0, s * count, step):
+            m = min(step, s * count - a)
+            at, cell = targets[a : a + m], cells[:, a : a + m]
+            reach = gathered[: read * (s - 1) * m].reshape(read, s - 1, m)
+            total = summed[: read * (s - 1) * m].reshape(read, s - 1, m)
+            pair = lasts[: (s - 1) * m].reshape(s - 1, m)
+            w = weight[: (s - 1) * m].reshape(s - 1, m)
+            np.take(prev, at, axis=2, out=reach, mode="clip")
+            np.take(below, at, axis=1, out=pair, mode="clip")
+            np.add(pair, np.multiply(nxt[a : a + m], n, out=scaled[:m]), out=pair)
+            # The own color keeps k, another color adds a change.
+            np.take(own_w, pair, out=w, mode="clip")
+            np.add(reach, w, out=total)
+            np.minimum.reduce(total, axis=1, out=cell[:read])
+            if write > 1:
+                changed = shifted[: (write - 1) * m].reshape(write - 1, m)
+                np.take(changed_w, pair, out=w, mode="clip")
+                np.add(reach[: write - 1], w, out=total[: write - 1])
+                np.minimum.reduce(total[: write - 1], axis=1, out=changed)
+                np.minimum(cell[1:read], changed[: read - 1], out=cell[1:read])
+                cell[read:] = changed[read - 1 :]
+            over = high[: write * m].reshape(write, m)
+            np.greater_equal(cell, penalty, out=over)
+            np.copyto(cell, sentinel, where=over)
+        blocks.append(block)
+        jobs_below, jobs_at = jobs_at, jobs_below
+    return RankedTable(blocks, rank), sentinel
 
 
 def _optimal_orders(
-    table: np.ndarray,
+    table: RankedTable,
     temps: list[int],
     colors: list[int],
     cap: int,
@@ -234,28 +300,27 @@ def _optimal_orders(
         if not rest:
             found.append(order)
             return len(found) > schedule_cap
-        row = table[rest].tolist()
-        for nxt in range(n):
-            if not rest >> nxt & 1:
-                continue
+        # Positions among the set bits of rest ascend with the job index.
+        jobs = [j for j in range(n) if rest >> j & 1]
+        for nxt, row in zip(jobs, table.at(rest).T.tolist()):
             left, need = budget, value
             if order:
                 left -= colors[nxt] != colors[order[-1]]
                 need -= abs(temps[nxt] - temps[order[-1]])
-            if left < 0 or min(row[nxt][: left + 1]) != need:
+            if left < 0 or min(row[: left + 1]) != need:
                 continue
             if extend(order + (nxt,), rest ^ 1 << nxt, left, need):
                 return True
         return False
 
-    truncated = extend((), len(table) - 1, cap, best)
+    truncated = extend((), (1 << n) - 1, cap, best)
     return found[:schedule_cap], truncated
 
 
 def _solve(
     instance: Instance,
     schedule_cap: int,
-    built: tuple[np.ndarray, int] | None,
+    built: tuple[RankedTable, int] | None,
     max_color_changes: int,
 ) -> OracleResult:
     """Optimum under a budget, read from the table and sentinel ``built``;
@@ -267,7 +332,7 @@ def _solve(
     if built is None:
         built = _subset_dp_table(temps, colors, cap)
     table, sentinel = built
-    best = int(table[-1, :, : cap + 1].min())
+    best = int(table.at((1 << len(temps)) - 1)[: cap + 1].min())
     if best >= sentinel:
         return OracleResult(None, (), k_used=cap)
     orders, truncated = _optimal_orders(table, temps, colors, cap, best, schedule_cap)
@@ -314,7 +379,7 @@ def pareto_front(
     temps, colors, _ = _prepare(instance)
     built = _subset_dp_table(temps, colors, max_merged_color_changes(instance))
     table, sentinel = built
-    exact = table[-1].min(axis=0).tolist()
+    exact = table.at((1 << len(temps)) - 1).min(axis=1).tolist()
     front = pareto_table(instance, [None if v >= sentinel else v for v in exact])
     return front, partial(_solve, instance, DEFAULT_SCHEDULE_CAP, built)
 

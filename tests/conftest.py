@@ -37,11 +37,17 @@ def run_child(source):
 
 
 def child_peak_rss_mb(source):
-    """Peak RSS in MB of a fresh Python process that runs ``source``."""
+    """Peak RSS in MB of a fresh Python process that runs ``source``.
+
+    It reads the process's own high-water mark, ``VmHWM``.  ``ru_maxrss``
+    would not do: a child forked from the test process keeps the test
+    process's resident size as its ``ru_maxrss`` across ``exec``.
+    """
     source = textwrap.dedent(source) + (
-        "import resource\nprint(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')))\n"
     )
-    return int(run_child(source).split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    return int(run_child(source).split()[-1]) / 1024  # VmHWM is in kB
 
 
 def three_color_instance():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from contextlib import contextmanager
@@ -32,7 +33,7 @@ from conftest import (
     two_color_instances,
 )
 from permutation_oracle import permutation_optimal
-from subset_dp_reference import subset_dp_cells
+from subset_dp_reference import dense_view, subset_dp_cells
 
 
 class TestThreeColorInstance:
@@ -152,7 +153,7 @@ class TestModes:
         )
         assert len(instance.jobs) * top == MAGNITUDE_LIMIT
         temps, colors, _ = oracle._prepare(instance)
-        assert oracle._subset_dp_table(temps, colors, 1)[0].dtype == np.int64
+        assert oracle._subset_dp_table(temps, colors, 1)[0].blocks[-1].dtype == np.int64
         table = dict(enumerate_pareto(instance))
         for cap in range(max_merged_color_changes(instance) + 1):
             a = permutation_optimal(instance, cap)
@@ -174,17 +175,18 @@ class TestSizeLimits:
 
     def test_default_cap_fits_the_table_limit(self):
         assert oracle.DEFAULT_MAX_JOBS == 16
-        assert oracle.table_bytes(16, 15, np.int32) == 64 << 20 <= oracle.MAX_TABLE_BYTES
-        assert oracle.table_bytes(20, 19, np.int32) > oracle.MAX_TABLE_BYTES
+        assert oracle.table_bytes(16, 15, np.int32) == 17 << 20
+        assert oracle.table_bytes(21, 20, np.int32) == 924 << 20 <= oracle.MAX_TABLE_BYTES
+        assert oracle.table_bytes(22, 21, np.int32) == 2024 << 20 > oracle.MAX_TABLE_BYTES
 
     @pytest.mark.parametrize("command", [["sweep"], ["solve", "--max-color-changes", "3"]])
     def test_oversized_table_refused_before_allocating(self, command, tmp_path, monkeypatch, capsys):
         # 45 merged jobs would need petabytes; with the job limit raised,
-        # the byte bound refuses the table before np.full is reached.
+        # the byte bound refuses the table before any array is allocated.
         from calsched.cli import main
 
-        def full(*args, **kwargs):
-            raise AssertionError("np.full reached")
+        def allocate(*args, **kwargs):
+            raise AssertionError("array allocated")
 
         rng = random.Random(45)
         path = tmp_path / "big.csv"
@@ -193,7 +195,8 @@ class TestSizeLimits:
             encoding="utf-8",
         )
         monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "100")
-        monkeypatch.setattr(np, "full", full)
+        for name in ("empty", "zeros", "full"):
+            monkeypatch.setattr(np, name, allocate)
         assert main([command[0], "--input", str(path), *command[1:]]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
@@ -238,9 +241,11 @@ class TestTableDtype:
         temps, colors, _ = oracle._prepare(instance)
         cap = max_merged_color_changes(instance)
         narrow, unreachable = oracle._subset_dp_table(temps, colors, cap)
+        narrow = dense_view(narrow, cap, unreachable)
         assert narrow.dtype == np.int32 and unreachable == 1 << 30
         with _int64_tables():
             wide, _ = oracle._subset_dp_table(temps, colors, cap)
+        wide = dense_view(wide, cap, INF)
         assert wide.dtype == np.int64
         assert (narrow <= unreachable).all() and (wide <= INF).all()
         assert np.array_equal(narrow == unreachable, wide == INF)
@@ -263,7 +268,7 @@ class TestTableDtype:
         assert len(instance.jobs) == n and max(temps) == span
         assert oracle.table_dtype(n, span)[0] is dtype
         table, _ = oracle._subset_dp_table(*oracle._prepare(instance)[:2], n - 1)
-        assert table.dtype == dtype
+        assert {block.dtype for block in table.blocks} == {np.dtype(dtype)}
         assert _answers(instance) == _int64_answers(instance)
 
     def test_oracle_workload_table_is_int32(self):
@@ -276,13 +281,15 @@ class TestTableDtype:
         ]
         instance = build_instance(records)
         temps, colors, _ = oracle._prepare(instance)
-        table, _ = oracle._subset_dp_table(temps, colors, max_merged_color_changes(instance))
-        assert table.dtype == np.int32
-        assert table.nbytes == (1 << 13) * 13 * 13 * 4
+        cap = max_merged_color_changes(instance)
+        table, _ = oracle._subset_dp_table(temps, colors, cap)
+        assert {block.dtype for block in table.blocks} == {np.dtype(np.int32)}
+        nbytes = sum(block.nbytes for block in table.blocks)
+        assert nbytes == 1_490_944 == oracle.table_bytes(13, cap, np.int32)
 
     def test_n16_front_peak_memory(self):
         # A three-color n=16 front and its top-budget solve in a fresh
-        # process; with an int64 table the process peaks near 163 MB.
+        # process, near 51 MB; with an int64 table it peaks near 68 MB.
         peak_mb = child_peak_rss_mb(
             """
             import random
@@ -293,7 +300,7 @@ class TestTableDtype:
             assert len(front) == 16 and solve(front[-1][0]).feasible
             """
         )
-        assert peak_mb < 128, peak_mb
+        assert peak_mb < 60, peak_mb
 
 
 class TestSubsetDpTable:
@@ -310,7 +317,8 @@ class TestSubsetDpTable:
         reference = np.array(subset_dp_cells(temps, colors, n + 1, sentinel))
         popcount = np.array([bin(mask).count("1") for mask in range(1 << n)])
         for cap in range(n + 1):
-            table, unreachable = oracle._subset_dp_table(temps, colors, cap)
+            ranked, unreachable = oracle._subset_dp_table(temps, colors, cap)
+            table = dense_view(ranked, cap, unreachable)
             assert unreachable == sentinel and table.shape == (1 << n, n, cap + 1)
             assert np.array_equal(table, reference[:, :, : cap + 1])
             # An ordering of a mask's jobs has fewer changes than jobs.
@@ -470,3 +478,66 @@ class TestMetamorphic:
         values = [v for _, v in table]
         known = values[values.count(None):]
         assert None not in known and known == sorted(known, reverse=True)
+
+
+# One sha256 over the oracle's answers on GOLDEN_COUNT seeded instances:
+# the trade-off table, and for every budget from -1 to one past the merged
+# maximum and every schedule cap in GOLDEN_SCHEDULE_CAPS, the optimum, the
+# optimal orders in their order and the truncation flag.  A change to the
+# table's layout or fill that alters any value, tie-break or truncation
+# changes the digest.
+GOLDEN_COUNT = 2000
+GOLDEN_SCHEDULE_CAPS = (1, 3, 64)
+GOLDEN_DIGEST = "a3c2578a9d807194fdaaaf4abd17426251119eb1bc2397ab8ab1cfc8ad32f504"
+
+
+def golden_instances(count, seed=20261019):
+    """Instances of 1-10 jobs in 1-4 colors.  Temperatures are distinct
+    within a color, so no job merges, and drawn from a narrow range, so
+    the colors share them and optima tie."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        k = rng.randint(1, min(4, n))
+        colors = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        top = max(colors.count(c) for c in range(k)) + rng.randint(0, 2)
+        records = []
+        for c in range(k):
+            for t in rng.sample(range(top), colors.count(c)):
+                records.append((f"j{len(records)}", t, c))
+        rng.shuffle(records)
+        yield build_instance(records)
+
+
+def golden_answers(instance):
+    yield enumerate_pareto(instance)
+    for budget in range(-1, max_merged_color_changes(instance) + 2):
+        for schedule_cap in GOLDEN_SCHEDULE_CAPS:
+            result = brute_force_optimal(instance, budget, schedule_cap=schedule_cap)
+            orders = tuple(s.order for s in result.optimal_schedules)
+            yield budget, schedule_cap, result.optimal_total_change, orders, result.truncated
+
+
+def test_golden_digest(monkeypatch):
+    # Each table is built once per instance and width and shared by the
+    # schedule caps, which read the same table through brute_force_optimal.
+    built = {}
+    real_table = oracle._subset_dp_table
+
+    def shared_table(temps, colors, cap):
+        key = tuple(temps), tuple(colors), cap
+        if key not in built:
+            built[key] = real_table(temps, colors, cap)
+        return built[key]
+
+    monkeypatch.setattr(oracle, "_subset_dp_table", shared_table)
+    sha = hashlib.sha256()
+    truncated = 0
+    for instance in golden_instances(GOLDEN_COUNT):
+        built.clear()
+        for answer in golden_answers(instance):
+            truncated += answer[-1] is True
+            sha.update(repr(answer).encode() + b"\n")
+    # The data must truncate often, so the digest pins tie-break order.
+    assert truncated >= GOLDEN_COUNT
+    assert sha.hexdigest() == GOLDEN_DIGEST
