@@ -62,8 +62,9 @@ DEFAULT_SCHEDULE_CAP = 64
 # in int32, 256 KiB in int64); the table itself then dominates memory.
 _CHUNK_CELLS = 1 << 15
 
-# The subset-DP table is refused above this size.  At the default job cap
-# it takes at most 17 MiB (16 jobs, 15 changes, int32).
+# A subset-DP table build is refused when its table and index arrays would
+# exceed this size.  At the default job cap the table takes at most 17 MiB
+# (16 jobs, 15 changes, int32) and the index arrays about 4 MiB.
 MAX_TABLE_BYTES = 1 << 30
 
 
@@ -107,6 +108,23 @@ def table_bytes(n: int, cap: int, dtype: type[np.signedinteger]) -> int:
     ``s`` last jobs in each of ``C(n, s)`` masks, in cells of ``dtype``."""
     cells = sum(min(s, cap + 1) * math.comb(n, s) * s for s in range(1, n + 1))
     return cells * np.dtype(dtype).itemsize
+
+
+def _layer_sizes(n: int) -> tuple[list[int], int]:
+    """``C(n, s)`` for every subset size ``s``, and the most ``(position,
+    rank)`` cells of any size, ``max_s s * C(n, s)``."""
+    counts = [math.comb(n, s) for s in range(n + 1)]
+    return counts, max(s * c for s, c in enumerate(counts))
+
+
+def build_bytes(n: int, cap: int, dtype: type[np.signedinteger]) -> int:
+    """Bytes a table build over ``n`` jobs holds at once: the table (see
+    :func:`table_bytes`) and its index arrays, all ``intp``: the ``rank``
+    lookup of ``2**n`` cells, four per-layer arrays of ``max_s s * C(n, s)``
+    cells, and the masks and ranks of the widest layer."""
+    counts, widest = _layer_sizes(n)
+    index_cells = (1 << n) + 4 * widest + 2 * max(counts)
+    return table_bytes(n, cap, dtype) + index_cells * np.dtype(np.intp).itemsize
 
 
 def _check_size(instance: Instance) -> None:
@@ -176,18 +194,19 @@ def _subset_dp_table(
     predecessor ranks, every predecessor position at once, adds the
     own-color and the changed-color weights, and reduces each chain over
     the predecessor positions.  The work arrays are allocated once per
-    build and hold at most ``_CHUNK_CELLS`` cells each.  A table larger
-    than ``MAX_TABLE_BYTES`` is refused with :class:`OracleSizeError`
-    before anything is allocated.
+    build and hold at most ``_CHUNK_CELLS`` cells each.  A build whose
+    table and index arrays (see :func:`build_bytes`) would take more than
+    ``MAX_TABLE_BYTES`` is refused with :class:`OracleSizeError` before
+    anything is allocated.
     """
     n = len(temps)
     dtype, sentinel = table_dtype(n, max(temps) - min(temps))
-    size = table_bytes(n, cap, dtype)
+    size = build_bytes(n, cap, dtype)
     if size > MAX_TABLE_BYTES:
         raise OracleSizeError(
             f"exhaustive search over {n} merged jobs with up to {cap} color "
-            f"changes needs a {size / 2**20:,.0f} MiB table, above the "
-            f"{MAX_TABLE_BYTES >> 20:,} MiB limit"
+            f"changes needs {size / 2**20:,.0f} MiB for its table and index "
+            f"arrays, above the {MAX_TABLE_BYTES >> 20:,} MiB limit"
         )
     penalty = sentinel - 1
     t = np.array(temps, dtype=np.int64)
@@ -202,8 +221,7 @@ def _subset_dp_table(
     # predecessor mask; rank[mask] is filled in layer by layer.  Every
     # index is in range, and np.take's mode="clip" writes straight into
     # out=, where the default mode would write through a temporary copy.
-    counts = [math.comb(n, s) for s in range(n + 1)]
-    widest = max(s * c for s, c in enumerate(counts))
+    counts, widest = _layer_sizes(n)
     jobs_below, jobs_at, bits, preds = (
         np.empty(widest, dtype=np.intp) for _ in range(4)
     )

@@ -38,8 +38,8 @@ The pass is dense numpy work, shaped six ways:
 
 * shifted frame: each grid holds distance minus the last temperature of
   the open block, so a layer is one add of a fixed per-cell weight to the
-  previous layer's grid of the other color and one in-place running
-  minimum, and every reader adds the temperature back;
+  previous layer's grid of the other color and one running minimum, and
+  every reader adds the temperature back;
 * on demand: layers are priced one at a time, and a capped solve or the
   trade-off table stops once the running best equals the temperature
   span, which no schedule can beat;
@@ -47,18 +47,18 @@ The pass is dense numpy work, shaped six ways:
   open color and ``floor((l+1)/2)`` of the other behind it, so only the
   cells past that corner are relaxed and stored, and every other node
   counts as unreachable (``INF``);
-* rolling with checkpoints: of ``K`` grid layers only layer 1 and every
-  ``ceil(sqrt(K))``-th one are kept; the others are relaxed into two
-  reused buffer pairs.  Reconstruction walks every requested optimum down
-  the layers in lock-step and relaxes each segment between two kept
-  layers again at most once per call, only up to the farthest cell a
-  walk stands on, so about ``2 * sqrt(K)`` layers are stored at once
-  instead of ``K``;
+* rolling with decision bits: a grid is read only to relax the next
+  grid of its chain (see below), so each chain relaxes into three reused
+  buffers.  For reconstruction the pass keeps, per relaxed grid, one bit
+  per band cell, set when the cell's own predecessor on the layer below
+  attains the cell's running minimum, and the grid's last row, which the
+  exits read.  A walk reads only those, so no layer is relaxed twice,
+  and ``K`` layers keep about ``K * n0 * n1 / 4`` bytes of bits;
 * narrow: temperatures are shifted so the lowest is 0, which changes no
   weight or target, and then every band value on layer ``l`` lies in
   ``[-span, (l + 2) * span]``.  :func:`grid_dtype` turns that bound into
-  the one dtype of every band grid, buffer and recomputed layer: ``int32``
-  when ``(max_changes + 4) * span <= 2**30``, else ``int64``.  Exits and
+  the one dtype of every band grid and buffer: ``int32`` when
+  ``(max_changes + 4) * span <= 2**30``, else ``int64``.  Exits and
   targets are always ``int64``;
 * blocked and threaded: ``minimum.accumulate`` down the rows runs a
   strided scalar loop per column, and numpy holds the GIL in it unless a
@@ -67,10 +67,11 @@ The pass is dense numpy work, shaped six ways:
   rows, which release the GIL.  A color-c grid reads only the color-o
   grid of the layer below, so the grids form two chains by the parity of
   layer + color.  With a wide band and two usable CPUs, the forward pass
-  runs one chain on a second thread, one checkpoint segment at a time,
-  and merges the targets and tests for the span after each segment.
-  :func:`pass_plan` makes both choices from the band width and the usable
-  CPU count.  Reconstruction runs on one thread.
+  runs one chain on a second thread while that plan holds.  The chains
+  meet after every layer: the last to arrive records the layer's
+  targets, and both stop at the first layer that saturates, so they
+  relax exactly the grids one thread would.  :func:`pass_plan` makes
+  both choices from the band width and the usable CPU count.
 
 The magnitude bound that :class:`~calsched.core.Instance` enforces keeps
 every real distance far below the ``INF`` sentinel, and no ``INF`` ever
@@ -83,7 +84,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -112,19 +113,6 @@ class SolveResult:
     total_change: int | None
     changes: int | None
     feasible: bool
-
-
-@dataclass
-class _Walk:
-    """One schedule's reconstruction, block by block down the layers."""
-
-    layer: int  # the cursor's layer; a walk starts on its top layer
-    target: int
-    runs_rev: list[tuple[int, int, int]] = field(default_factory=list)  # (color, lo, hi)
-    # (c, x, y) on ``layer``: the open block has color c and ends at c's job
-    # x, and the other color's last job so far is y.
-    cursor: tuple[int, int, int] | None = None
-    first_run: tuple[int, int, int] | None = None  # set once the walk is done
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,9 +162,13 @@ class SearchGraph:
         the shifted distance of the color-o cell at o's last job, and
         ``entry[c][y]`` is the span of a first block of c's jobs ``0 .. y``.
 
-        Layer ``l`` stores only its band (see :func:`_band`).  ``kept``
-        maps layer 1 and every ``stride``-th layer to its pair of grids;
-        ``last`` is the pair of the newest layer priced.  ``tau[k]`` is the
+        Layer ``l`` stores only its band (see :func:`_band`).  The grid of
+        layer ``l`` and color ``c`` belongs to chain ``p = (l + c) % 2``:
+        ``grids[p]`` is the chain's newest grid, and ``work[p]`` holds its
+        three flat grid buffers and its flat mask buffer (see
+        :meth:`_relax`).  ``bits[l, c]`` and ``rows[l, c]`` are what
+        reconstruction reads of each grid priced, and ``lows[c]`` is the
+        least exit through the newest color-c grid.  ``tau[k]`` is the
         optimum with exactly ``k`` changes for every ``k`` priced so far
         (index 0 unused), and ``best[k]`` the best ``(value, changes)``
         with at most ``k`` changes; the number of layers priced is
@@ -197,11 +189,11 @@ class SearchGraph:
         # One change: both whole colors, joined at the closest pair of ends.
         borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
         tau1 = int(entry[0][-1] + entry[1][-1]) + borders
-        t_grid = tuple(tc.astype(dtype) for tc in t)
+        size = self._n[0] * self._n[1]
         self._dp.update(
             t=t,
             entry=entry,
-            t_grid=t_grid,
+            t_grid=tuple(tc.astype(dtype) for tc in t),
             into=None,  # built by _plan for the blocked form
             into_t=None,  # each into[c].T, built by _plan for the accumulate form
             exit=tuple(
@@ -211,11 +203,15 @@ class SearchGraph:
             ),
             span=span,
             dtype=dtype,
-            stride=checkpoint_stride(self.max_changes - 1),
             cpus=_usable_cpus(),
-            kept={},
-            last=None,
-            buffers=None,  # two reused flat pairs for the layers not kept
+            grids=[None, None],
+            work=tuple(
+                (tuple(np.empty(size, dtype) for _ in range(3)), np.empty(size, np.bool_))
+                for _ in (0, 1)
+            ),
+            bits={},
+            rows={},
+            lows=[INF, INF],
             tau=[INF, tau1],
             best=[(INF, 0), (tau1, 1)],
         )
@@ -226,74 +222,78 @@ class SearchGraph:
         ``until_span``, until the running best reaches the temperature span,
         a lower bound for every schedule.
 
-        Layer 1, the entry grids, is kept.  Above it the layers go in
-        segments, each relaxed by :meth:`_price_segment`: a single layer
-        when sequential, so the pass stops right at the span, and with
-        threads everything up to the next kept layer (at most the layer
-        whose exits reach ``changes``).  Pricing a few layers past the span
-        changes no answer.
+        A color-c grid reads only the color-o grid of the layer below, so
+        the grids split into two chains by the parity of layer + color.
+        Each layer relaxes the chains' grids in turn, or, when
+        :func:`pass_plan` picks threads, the layers that keep that plan go
+        to :meth:`_price_threaded`.
         """
         dp = self._distances()
-        while len(dp["tau"]) <= changes and not (until_span and dp["best"][-1][0] <= dp["span"]):
-            first = len(dp["tau"]) - 1
-            if first == 1:
-                grids = dp["kept"][1] = dp["last"] = tuple(self._entry_grid(c) for c in (0, 1))
-                self._record([[self._exits(1, 1 - c, grids[c]).min(initial=INF) for c in (0, 1)]])
+        while self._more(changes, until_span):
+            layer = len(dp["tau"]) - 1
+            if layer == 1:
+                for c in (0, 1):
+                    grid = dp["grids"][(1 + c) % 2] = self._entry_grid(c)
+                    dp["rows"][1, c] = grid[-1]
+                    dp["lows"][c] = self._exits(1, 1 - c).min(initial=INF)
+                self._record()
+                continue
+            blocked, threaded = self._plan(self._width(layer), dp["cpus"])
+            if threaded:
+                # Up to the last layer that is needed and keeps this plan.
+                end, cpus = layer, dp["cpus"]
+                while end + 1 < changes and pass_plan(self._width(end + 1), cpus) == (blocked, True):
+                    end += 1
+                self._price_threaded(layer, end, blocked, changes, until_span)
             else:
-                blocked, threaded = self._plan(self._width(first), dp["cpus"])
-                end = min(-(-first // dp["stride"]) * dp["stride"], changes - 1) if threaded else first
-                self._price_segment(first, end, blocked, threaded)
+                self._advance(0, layer, blocked)
+                self._advance(1, layer, blocked)
+                self._record()
         return dp
 
-    def _price_segment(self, first: int, end: int, blocked: bool, threaded: bool) -> None:
-        """Relax layers ``first`` through ``end`` and price the change
-        counts their exits reach.
-
-        A color-c grid reads only the color-o grid of the layer below, so
-        the grids split into two chains by the parity of layer + color, and
-        each chain relaxes its grid of every layer and prices that grid's
-        exits on its own; with ``threaded`` one chain runs on a second
-        thread.  A kept layer gets arrays of its own; any other layer
-        overwrites the buffers that held the same chain's grid two layers
-        below, which nothing reads any more.  A buffer slot belongs to one
-        chain, so the chains share no array they write.  The chains call no
-        function that ``perfbench/tracing.py`` wraps, since its span stack
-        is not thread-safe.
-        """
+    def _more(self, changes: int, until_span: bool) -> bool:
+        """Whether :meth:`_price` needs another layer."""
         dp = self._dp
-        layers = range(first, end + 1)
-        if dp["buffers"] is None and any(layer % dp["stride"] for layer in layers):
-            dp["buffers"] = [self._flat_pair(), self._flat_pair()]
-        grids = [[None, None] for _ in layers]
-        lows = [[None, None] for _ in layers]  # per layer, each grid's least exit
+        return len(dp["tau"]) <= changes and not (until_span and dp["best"][-1][0] <= dp["span"])
 
-        def chain(parity: int) -> None:
-            grid = dp["last"][(parity + first + 1) % 2]
-            for row, layer in enumerate(layers):
-                c = (parity + layer) % 2
-                out = None if layer % dp["stride"] == 0 else dp["buffers"][layer % 2][c]
-                grid = grids[row][c] = self._relax(layer, c, grid, blocked, out=out)
-                lows[row][c] = self._exits(layer, 1 - c, grid).min(initial=INF)
+    def _price_threaded(
+        self, first: int, end: int, blocked: bool, changes: int, until_span: bool
+    ) -> None:
+        """Relax layers ``first`` through ``end``, chain 1 on a worker
+        thread and chain 0 on this one.
 
-        if threaded:
-            _on_two_threads(lambda: chain(1), lambda: chain(0))
-        else:
-            chain(0)
-            chain(1)
-        for layer, pair in zip(layers, grids):
-            if layer % dp["stride"] == 0:
-                dp["kept"][layer] = tuple(pair)
-        dp["last"] = tuple(grids[-1])
-        self._record(lows)
+        The chains meet at a barrier after every layer; the last to arrive
+        records the layer, and then both test whether :meth:`_price` needs
+        another.  So a chain starts layer ``l + 1`` only after layer ``l``
+        is recorded, and neither relaxes a grid past the first saturated
+        layer.  The chains call no function that ``perfbench/tracing.py``
+        wraps, since its span stack is not thread-safe.
+        """
+        barrier = threading.Barrier(2, action=self._record)
 
-    def _record(self, lows: list) -> None:
-        """Append each new layer's target to ``tau`` and ``best``; ``lows``
-        holds, per layer, the least exit of each of its grids."""
+        def chain(p: int) -> None:
+            for layer in range(first, end + 1):
+                self._advance(p, layer, blocked)
+                barrier.wait()
+                if not self._more(changes, until_span):
+                    return
+
+        _on_two_threads(lambda: chain(1), lambda: chain(0), barrier)
+
+    def _advance(self, p: int, layer: int, blocked: bool) -> None:
+        """Relax chain ``p``'s grid of ``layer`` (2 and up) and note its
+        least exit."""
+        dp = self._dp
+        c = (p + layer) % 2
+        dp["grids"][p] = self._relax(layer, c, dp["grids"][p], blocked, dp["work"][p])
+        dp["lows"][c] = self._exits(layer, 1 - c).min(initial=INF)
+
+    def _record(self) -> None:
+        """Append the newest layer's target to ``tau`` and ``best``."""
         tau, best = self._dp["tau"], self._dp["best"]
-        for pair in lows:
-            value = int(min(pair))
-            tau.append(value)
-            best.append((value, len(tau) - 1) if value < best[-1][0] else best[-1])
+        value = int(min(self._dp["lows"]))
+        tau.append(value)
+        best.append((value, len(tau) - 1) if value < best[-1][0] else best[-1])
 
     def _plan(self, width: int, cpus: int) -> tuple[bool, bool]:
         """:func:`pass_plan` for this graph.  Before any chain runs, the
@@ -328,63 +328,68 @@ class SearchGraph:
         row = (row - t[c][0]).astype(self._dp["dtype"])
         return np.broadcast_to(row, (self._n[c], self._n[o]))
 
-    def _flat_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two flat buffers of the grid dtype, each large enough for a full grid."""
-        size, dtype = self._n[0] * self._n[1], self._dp["dtype"]
-        return np.empty(size, dtype), np.empty(size, dtype)
-
     def _relax(
         self,
         layer: int,
         c: int,
         prev: np.ndarray,
         blocked: bool,
-        stop: tuple[int, int] | None = None,
-        out: np.ndarray | None = None,
+        work: tuple[tuple[np.ndarray, ...], np.ndarray],
     ) -> np.ndarray:
         """``layer``'s color-c band grid (layer 2 and up) from ``prev``, the
-        color-o grid of the layer below.
+        color-o grid of the layer below, and what reconstruction reads of
+        it: ``bits[layer, c]`` and ``rows[layer, c]``.
 
-        The grid is ``prev.T`` plus ``into[c]``, followed by a running
-        minimum down its rows.  The ``blocked`` form adds into the grid and
-        runs :func:`_blocked_minimum` on it.  The other form adds in
-        ``prev``'s order, to ``into[c].T``, and ``minimum.accumulate`` runs
-        along that sum's rows and writes the grid through its transpose:
-        accumulate's loop is as slow along either axis, so the transpose
-        then costs nothing extra.
+        The grid is the running minimum down the rows of ``paths``,
+        ``prev.T`` plus ``into[c]``.  The ``blocked`` form adds in the
+        grid's order and runs :func:`_blocked_minimum` from ``paths`` into
+        the grid.  The other form adds in ``prev``'s order, to
+        ``into[c].T``, and ``minimum.accumulate`` runs along that sum's
+        rows and writes the grid through its transpose: accumulate's loop
+        is as slow along either axis, so the transpose then costs nothing
+        extra.
 
-        Only cells ``(i, j)`` with ``i < stop[0]`` and ``j < stop[1]`` are
-        relaxed (default: all; ``stop`` is in color 0's order).  A cell
-        depends only on cells at or before it in both coordinates, so those
-        hold exactly what a full pass gives, and ``prev`` needs only that
-        rectangle.  ``out`` is a flat buffer to write into instead of a new
-        array.
+        A bit of ``bits[layer, c]``, packed along each grid row, is set
+        where ``paths`` equals the grid, that is, where the cell's own
+        predecessor attains its running minimum.  ``rows[layer, c]`` is the
+        grid's last row, which the exits read.
+
+        ``work`` is the chain's three flat grid buffers and its mask
+        buffer.  The grid of ``layer`` goes into buffer ``layer % 3`` and
+        ``paths`` into ``(layer + 1) % 3``; ``prev`` lies in the third, or
+        is layer 1's broadcast view.
         """
         dp = self._dp
-        rows, cols = _swap(stop, c) if stop else (self._n[c], self._n[1 - c])
         a, b = _band(layer)
-        h, w = rows - a, cols - b
-        grid = np.empty((h, w), dp["dtype"]) if out is None else out[: h * w].reshape(h, w)
+        h, w = self._n[c] - a, self._n[1 - c] - b
+        flats, mask = work
+        grid = flats[layer % 3][: h * w].reshape(h, w)
+        mask = mask[: h * w].reshape(h, w)
         if blocked:
-            np.add(prev.T[:h, :w], dp["into"][c][a:rows, b:cols], out=grid)
-            _blocked_minimum(grid)
+            paths = flats[(layer + 1) % 3][: h * w].reshape(h, w)
+            np.add(prev.T[:h, :w], dp["into"][c][a:, b:], out=paths)
+            _blocked_minimum(paths, grid)
+            np.equal(paths, grid, out=mask)
         else:
-            paths = np.add(prev[:w, :h], dp["into_t"][c][b:cols, a:rows])
+            paths = flats[(layer + 1) % 3][: h * w].reshape(w, h)
+            np.add(prev[:w, :h], dp["into_t"][c][b:, a:], out=paths)
             np.minimum.accumulate(paths, axis=1, out=grid.T)
+            np.equal(paths.T, grid, out=mask)
+        dp["bits"][layer, c] = np.packbits(mask, axis=1, bitorder="little")
+        dp["rows"][layer, c] = grid[-1].copy()
         return grid
 
-    def _exits(self, layer: int, c: int, grid: np.ndarray) -> np.ndarray:
+    def _exits(self, layer: int, c: int) -> np.ndarray:
         """Distance through each final block of color ``c`` after
-        ``layer``'s full color-o ``grid``.
+        ``layer``'s color-o grid, from that grid's last row.
 
-        Entry ``a`` ends with c's jobs ``a+1 ..`` after o's last job;
-        entries whose grid cell lies outside the band are ``INF``.
+        Entry ``i`` ends with c's jobs ``lo + i + 1 ..`` after o's last
+        job, where ``lo = _band(layer)[1]``: a final block that starts
+        earlier leaves the band.
         """
-        n = self._n[c]
         lo = _band(layer)[1]
-        exits = np.full(n - 1, INF, dtype=np.int64)
-        exits[lo:] = grid[-1, : n - 1 - lo] + self._dp["exit"][c][lo:]
-        return exits
+        row = self._dp["rows"][layer, 1 - c]
+        return row[: self._n[c] - 1 - lo] + self._dp["exit"][c][lo:]
 
     def layer_target_distances(self, max_changes: int | None = None) -> list[int | None]:
         """Optimal total change for exactly k changes, k = 1..``max_changes``
@@ -446,136 +451,59 @@ class SearchGraph:
         """Rebuild a schedule realizing ``tau[k]`` for each ``k`` in
         ``changes``, in order.
 
-        The walks descend the layers in lock-step, from the highest one
-        down.  A layer that was not kept is relaxed again from the kept
-        layer below it, at most once per call: over the whole grid when a
-        walk starts in that segment, else only up to the farthest cell any
-        walk stands on, and only along the walks' chains (a color-0 grid
-        reads only the color-1 grid of the layer below and vice versa, so
-        the grids split by the parity of layer + color, and a walk keeps
-        its parity).  Equal-cost predecessors are resolved toward the
-        smallest (layer, color, i, j) node, and block orientations break
-        ties toward increasing order, so outputs are deterministic.
+        Each walk starts at the first exit of layer ``k - 1`` that meets
+        its target and traces one block per layer down to the entry
+        blocks, reading only the bits and last rows that the distance pass
+        kept, so no layer is relaxed again.  Equal-cost predecessors are
+        resolved toward the smallest (layer, color, i, j) node, and block
+        orientations break ties toward increasing order, so outputs are
+        deterministic.
         """
         dp = self._price(max(changes))
-        walks: dict[int, _Walk] = {}
-        for k in sorted(set(changes), reverse=True):
+        jobs = {}
+        for k in set(changes):
             target = dp["tau"][k]
             if target >= INF:
                 raise AssertionError(f"target for {k} changes unreachable")
-            walks[k] = _Walk(k - 1, target)
-        pending = [walk for walk in walks.values() if walk.layer >= 1]
-        have = dict(dp["kept"])
-        pool: list[tuple[np.ndarray, np.ndarray]] = []
-        if dp["last"] is not None:
-            have[len(dp["tau"]) - 2] = dp["last"]
-        active: list[_Walk] = []
-        for layer in range(pending[0].layer if pending else 0, 0, -1):
-            while pending and pending[0].layer == layer:
-                if layer not in have:
-                    self._recompute(have, layer, None, (0, 1), pool)
-                self._start(pending[0], have[layer])
-                active.append(pending.pop(0))
-            below = layer - 1
-            if below and below not in have:
-                base = self._checkpoint_below(below)
-                if pending and pending[0].layer > base:
-                    stop, chains = None, (0, 1)
-                else:
-                    cells = [_swap(walk.cursor[1:], walk.cursor[0]) for walk in active]
-                    stop = tuple(max(axis) + 1 for axis in zip(*cells))
-                    chains = {(walk.layer + walk.cursor[0]) % 2 for walk in active}
-                self._recompute(have, below, stop, chains, pool)
-            for walk in active:
-                self._step(walk, have)
-            if layer not in dp["kept"]:
-                del have[layer]
-        jobs = {}
-        for k, walk in walks.items():
-            if k == 1:
-                jobs[k] = self._reconstruct_two_blocks(walk.target)
-            else:
-                jobs[k] = self._materialize([walk.first_run] + walk.runs_rev[::-1])
+            jobs[k] = self._reconstruct_two_blocks(target) if k == 1 else self._walk(k - 1, target)
         return [jobs[k] for k in changes]
 
-    def _checkpoint_below(self, layer: int) -> int:
-        """The highest kept layer below ``layer``."""
-        stride = self._dp["stride"]
-        return max(1, (layer - 1) // stride * stride)
+    def _walk(self, top: int, target: int) -> list[Job]:
+        """The schedule of a path that leaves layer ``top`` with ``target``.
 
-    def _recompute(
-        self,
-        have: dict,
-        layer: int,
-        stop: tuple[int, int] | None,
-        chains: Collection[int],
-        pool: list[tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        """Relax the layers from the kept one below ``layer`` through
-        ``layer`` again, over the cells before ``stop`` and on the grids
-        whose layer + color parity is in ``chains``, into ``have``.
-
-        The ``i``-th layer of a segment reuses the ``i``-th buffer pair of
-        ``pool``; the segment relaxed before this one lay above it, and the
-        walks have left it.  The whole segment is relaxed on this thread,
-        in the form :func:`pass_plan` picks for its first layer's band.
+        It takes the first exit that meets the target, color 0's exits
+        before color 1's, each in job order.  Then, on each layer, the
+        open block of color ``c`` that ends at c's job ``x``, with ``y`` the
+        other color's last job, starts at the last row ``x' <= x`` whose bit
+        is set in column ``y``.  Between ``x'`` and ``x`` the grid holds one
+        value, since it never increases down the rows and an unset bit
+        repeats the cell above, so ``x'`` is the latest block start that
+        attains it.
         """
-        base = self._checkpoint_below(layer)
-        grids = have[base]
-        blocked, _ = self._plan(self._width(base + 1), 1)
-        for offset, above in enumerate(range(base + 1, layer + 1)):
-            if offset == len(pool):
-                pool.append(self._flat_pair())
-            pair = [None, None]
-            for chain in chains:
-                c = (chain - above) % 2
-                pair[c] = self._relax(above, c, grids[1 - c], blocked, stop, pool[offset][c])
-            grids = have[above] = tuple(pair)
-
-    def _start(self, walk: _Walk, grids: tuple[np.ndarray, np.ndarray]) -> None:
-        """Place ``walk`` on the first exit of its layer that meets its
-        target: color 0's exits before color 1's, each in job order."""
         n = self._n
         for c, o in _PAIRS:
-            exits = self._exits(walk.layer, c, grids[o]).tolist()
-            if walk.target in exits:
-                a = exits.index(walk.target)
-                walk.runs_rev.append((c, a + 1, n[c] - 1))
-                walk.cursor = (o, n[o] - 1, a)
-                return
-        raise AssertionError("no exit matches the target distance")
-
-    def _step(self, walk: _Walk, have: dict) -> None:
-        """Trace ``walk``'s open block on its layer back to the block's
-        first job, and move to the layer below (or finish on layer 1).
-
-        Shifted distances: a move within the open block keeps the value,
-        a color change adds the ``into`` weight of the new block's cell.
-        On layer 1 the open block starts at its color's first job and
-        follows an entry block of the other color.
-        """
-        layer, (c, x, y) = walk.layer, walk.cursor
-        o = 1 - c
-        if layer == 1:
-            walk.runs_rev.append((c, 0, x))
-            walk.first_run = (o, 0, y)
-            return
-        lo_x, lo_y = _band(layer)
-        line = have[layer][c][:, y - lo_y]  # along c's jobs, from lo_x
-        d = int(line[x - lo_x])
-        lo_y_prev, lo_x_prev = _band(layer - 1)
-        prev = have[layer - 1][o][y - lo_y_prev]  # along c's jobs, from lo_x_prev
-        # into[c][:, y] is into_t[c][y]; read whichever layout _plan built.
-        weights = self._dp["into"]
-        into = weights[c][:, y] if weights is not None else self._dp["into_t"][c][y]
-        # Change color at the first x (from the block's end down) where the
-        # layer below plus the weight gives d, else stay in the block.
-        while x <= lo_x_prev or int(prev[x - 1 - lo_x_prev]) + int(into[x]) != d:
-            if x <= lo_x or int(line[x - 1 - lo_x]) != d:
-                raise AssertionError(f"backtrack mismatch on color-{c} grid")
-            x -= 1
-        walk.runs_rev.append((c, x, walk.cursor[1]))
-        walk.layer, walk.cursor = layer - 1, (o, y, x - 1)
+            exits = self._exits(top, c).tolist()
+            if target in exits:
+                a = _band(top)[1] + exits.index(target)
+                break
+        else:
+            raise AssertionError("no exit matches the target distance")
+        runs = [(c, a + 1, n[c] - 1)]  # (color, lo, hi), last block first
+        c, x, y = o, n[o] - 1, a
+        for layer in range(top, 1, -1):
+            lo_x, lo_y = _band(layer)
+            bits = self._dp["bits"][layer, c]
+            byte, shift = divmod(y - lo_y, 8)
+            row = x - lo_x
+            while row >= 0 and not bits.item(row, byte) >> shift & 1:
+                row -= 1
+            if row < 0:
+                raise AssertionError(f"no decision bit set on color-{c} grid")
+            runs.append((c, lo_x + row, x))
+            c, x, y = 1 - c, y, lo_x + row - 1
+        # Layer 1: c's block starts at its first job, after an entry block.
+        runs += [(c, 0, x), (1 - c, 0, y)]
+        return self._materialize(runs[::-1])
 
     def _materialize(self, runs: list[tuple[int, int, int]]) -> list[Job]:
         """Lay out the block runs; border blocks take the cheaper direction."""
@@ -599,16 +527,6 @@ class SearchGraph:
                     if total_temperature_change(seq) == target:
                         return seq
         raise AssertionError("no two-block layout matches the target distance")
-
-
-def checkpoint_stride(layers: int) -> int:
-    """Every this-many-th of a graph's ``layers`` grid layers is kept for
-    reconstruction: ``ceil(sqrt(layers))``, at least 1.
-
-    So the kept layers number about ``sqrt(layers)``, and so do the layers
-    of a segment relaxed again between two of them.
-    """
-    return math.isqrt(max(layers, 1) - 1) + 1
 
 
 def grid_dtype(max_changes: int, span: int) -> type[np.signedinteger]:
@@ -650,8 +568,9 @@ def pass_plan(width: int, cpus: int) -> tuple[bool, bool]:
     return width >= _BLOCKED_FROM, cpus >= 2 and width >= _THREADS_FROM
 
 
-def _blocked_minimum(grid: np.ndarray) -> None:
-    """Running minimum down the rows of the C-contiguous ``grid``, in place.
+def _blocked_minimum(values: np.ndarray, out: np.ndarray) -> None:
+    """Running minimum down the rows of the C-contiguous ``values``, into
+    the C-contiguous ``out`` of the same shape.
 
     ``minimum.accumulate`` along axis 0 runs one strided scalar loop per
     column and holds the GIL when a column has 500 or fewer cells.  Here
@@ -661,17 +580,19 @@ def _blocked_minimum(grid: np.ndarray) -> None:
     each block end into the rows of the next block.  Rows past the last
     whole block follow one at a time.  Every call works on whole rows.
     """
-    rows, cols = grid.shape
+    rows, cols = values.shape
     size = max(math.isqrt(rows), 1)
     count = rows // size
-    blocks = grid[: count * size].reshape(count, size, cols)
+    source = values[: count * size].reshape(count, size, cols)
+    blocks = out[: count * size].reshape(count, size, cols)
+    blocks[:, 0] = source[:, 0]
     for r in range(1, size):
-        np.minimum(blocks[:, r - 1], blocks[:, r], out=blocks[:, r])
+        np.minimum(blocks[:, r - 1], source[:, r], out=blocks[:, r])
     ends = blocks[:, -1]
     np.minimum.accumulate(ends, axis=0, out=ends)
     np.minimum(blocks[1:, :-1], blocks[:-1, -1:], out=blocks[1:, :-1])
     for r in range(count * size, rows):
-        np.minimum(grid[r - 1], grid[r], out=grid[r])
+        np.minimum(out[r - 1], values[r], out=out[r])
 
 
 def _usable_cpus() -> int:
@@ -681,9 +602,17 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _on_two_threads(first: Callable[[], None], second: Callable[[], None]) -> None:
-    """Run ``first`` on a new thread and ``second`` on this one, and
-    re-raise what ``first`` raised once both are done."""
+def _on_two_threads(
+    first: Callable[[], None], second: Callable[[], None], barrier: threading.Barrier
+) -> None:
+    """Run ``first`` on a new thread and ``second`` on this one, where both
+    wait at ``barrier``, and re-raise here what either raised once the
+    thread has ended.
+
+    A side that fails aborts the barrier, so the other one stops at its
+    next wait instead of waiting for ever.  When this side stops that way,
+    the worker's exception is the one raised.
+    """
     raised: list[BaseException] = []
 
     def run() -> None:
@@ -691,13 +620,19 @@ def _on_two_threads(first: Callable[[], None], second: Callable[[], None]) -> No
             first()
         except BaseException as exc:  # re-raised on the calling thread
             raised.append(exc)
+            barrier.abort()
 
     thread = threading.Thread(target=run, name="calsched-chain")
     thread.start()
     try:
         second()
-    finally:
+    except BaseException as exc:
+        barrier.abort()
         thread.join()
+        if isinstance(exc, threading.BrokenBarrierError) and raised:
+            raise raised[0] from None
+        raise
+    thread.join()
     if raised:
         raise raised[0]
 
@@ -720,11 +655,6 @@ def _band(layer: int) -> tuple[int, int]:
     is relaxed and stored.
     """
     return (layer + 2) // 2 - 1, (layer + 1) // 2 - 1
-
-
-def _swap(pair: tuple[int, int], color: int) -> tuple[int, int]:
-    """Turn an ``(i, j)`` pair into ``color``'s ``(own, other)`` order, or back."""
-    return pair if color == 0 else pair[::-1]
 
 
 def build_search_graph(instance: Instance, max_color_changes: int) -> SearchGraph:

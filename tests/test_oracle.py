@@ -173,11 +173,24 @@ class TestSizeLimits:
         monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "12")
         assert brute_force_optimal(inst, 3).feasible
 
-    def test_default_cap_fits_the_table_limit(self):
+    def test_default_cap_fits_the_table_limit(self, monkeypatch):
         assert oracle.DEFAULT_MAX_JOBS == 16
         assert oracle.table_bytes(16, 15, np.int32) == 17 << 20
-        assert oracle.table_bytes(21, 20, np.int32) == 924 << 20 <= oracle.MAX_TABLE_BYTES
+        assert oracle.build_bytes(16, 15, np.int32) < 21 << 20
+        assert oracle.build_bytes(20, 19, np.int32) <= oracle.MAX_TABLE_BYTES
+        # The index arrays count toward the limit: at 21 jobs the table
+        # alone (924 MiB) fits, but not with them (1,064 MiB).
+        assert oracle.table_bytes(21, 20, np.int32) == 924 << 20
+        assert oracle.build_bytes(21, 20, np.int32) > oracle.MAX_TABLE_BYTES
         assert oracle.table_bytes(22, 21, np.int32) == 2024 << 20 > oracle.MAX_TABLE_BYTES
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("array allocated")
+
+        for name in ("empty", "zeros", "full"):
+            monkeypatch.setattr(np, name, allocate)
+        with pytest.raises(OracleSizeError, match=r"needs 1,064 MiB for its table and index arrays"):
+            oracle._subset_dp_table(list(range(21)), [i % 3 for i in range(21)], 20)
 
     @pytest.mark.parametrize("command", [["sweep"], ["solve", "--max-color-changes", "3"]])
     def test_oversized_table_refused_before_allocating(self, command, tmp_path, monkeypatch, capsys):

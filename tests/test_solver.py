@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import itertools
 import random
@@ -24,7 +25,7 @@ from calsched import (
 )
 from calsched import solver
 from calsched.core import MAGNITUDE_LIMIT, max_merged_color_changes, pareto_table
-from calsched.solver import _band, _swap, pareto_front
+from calsched.solver import _band, pareto_front
 from conftest import (
     child_peak_rss_mb,
     job_records,
@@ -137,7 +138,7 @@ class TestGraphStructure:
         for node in dist:
             if node[0] == "grid":
                 _, layer, color, i, j = node
-                lo_i, lo_j = _swap(_band(layer), color)
+                lo_i, lo_j = _band(layer)[:: 1 - 2 * color]  # in (i, j) order
                 assert i - 1 >= lo_i and j - 1 >= lo_j, node
 
 
@@ -369,7 +370,7 @@ class TestParetoSweep:
 
 
 class TestCheckpoints:
-    """Layers not kept are relaxed again from the kept layer below them."""
+    """What the rolling distance pass keeps, its grid dtype and its memory."""
 
     @given(
         st.one_of(
@@ -378,19 +379,15 @@ class TestCheckpoints:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_stride_does_not_change_answers(self, records):
-        # Stride 1 keeps every layer and recomputes nothing, int64 grids
-        # hold every value, and these bands are narrow enough for the
-        # sequential accumulate form: the reference.  The forced plans run
-        # the blocked kernel, on one thread and with the chains on two.
+    def test_plan_and_dtype_do_not_change_answers(self, records):
+        # int64 grids hold every value, and these bands are narrow enough
+        # for the sequential accumulate form: the reference.  The forced
+        # plans run the blocked kernel, on one thread and with the chains
+        # on two.
         instance = build_instance(records)
         seen = []
-        for stride, dtype, plan in itertools.product(
-            (1, 2, 3, None), (np.int64, None), (None, (True, False), (True, True))
-        ):
+        for dtype, plan in itertools.product((np.int64, None), (None, (True, False), (True, True))):
             with pytest.MonkeyPatch.context() as mp:
-                if stride is not None:
-                    mp.setattr(solver, "checkpoint_stride", lambda layers, c=stride: c)
                 if dtype is not None:
                     mp.setattr(solver, "grid_dtype", lambda changes, span, d=dtype: d)
                 if plan is not None:
@@ -404,11 +401,8 @@ class TestCheckpoints:
             assert batch == single
         assert all(answers == seen[0] for answers in seen[1:])
 
-    def test_stride_is_ceil_sqrt_of_layers(self):
-        strides = [solver.checkpoint_stride(layers) for layers in (0, 1, 2, 4, 5, 49, 50, 998)]
-        assert strides == [1, 1, 2, 2, 3, 7, 8, 32]
-
-    def test_batch_reconstruction_is_one_pass(self, monkeypatch):
+    def test_reconstruction_relaxes_no_grid(self, monkeypatch):
+        # Walks read only the decision bits and last rows the pass kept.
         rng = random.Random(40)
         temps = rng.sample(range(1, 1000), 80)
         instance = make_two_color(temps[:40], temps[40:])
@@ -422,8 +416,7 @@ class TestCheckpoints:
         budgets = [k for k, value in table if value is not None]
         calls.clear()
         results = solve(budgets)
-        # Each (layer, color) grid is relaxed again at most once.
-        assert 0 < len(calls) == len(set(calls)) <= 2 * priced
+        assert calls == []
         assert len({result.changes for result in results}) > priced // 2
         assert results == [shortest_schedule(instance, k) for k in budgets]
 
@@ -435,21 +428,28 @@ class TestCheckpoints:
     )
     @settings(max_examples=60, deadline=None)
     def test_band_values_stay_within_the_path_bound(self, records):
-        # The bound that lets grid_dtype pick int32: with every layer kept
-        # and exact int64 grids, no band value leaves [-span, (layer+2)*span],
-        # so no INF ever enters a band.
+        # The bound that lets grid_dtype pick int32: with exact int64 grids,
+        # no band value leaves [-span, (layer+2)*span], so no INF ever
+        # enters a band.  Relaxed grids live in reused buffers, so each is
+        # copied as it is made.
         instance = build_instance(records)
         span = temperature_span(instance.jobs)
+        grids = {}
+        real_relax = solver.SearchGraph._relax
+
+        def relax(graph, layer, c, *args):
+            grid = grids[layer, c] = real_relax(graph, layer, c, *args).copy()
+            return grid
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "checkpoint_stride", lambda layers: 1)
             mp.setattr(solver, "grid_dtype", lambda changes, span: np.int64)
+            mp.setattr(solver.SearchGraph, "_relax", relax)
             graph = build_search_graph(instance, max_merged_color_changes(instance))
             graph.layer_target_distances()
-        kept = graph._dp["kept"]
-        assert sorted(kept) == list(range(1, graph.max_changes))
-        for layer, grids in kept.items():
-            for grid in grids:
-                assert -span <= grid.min() and grid.max() <= (layer + 2) * span, layer
+        assert sorted(grids) == [(layer, c) for layer in range(2, graph.max_changes) for c in (0, 1)]
+        grids.update({(1, c): graph._entry_grid(c) for c in (0, 1)})
+        for (layer, _), grid in grids.items():
+            assert -span <= grid.min() and grid.max() <= (layer + 2) * span, layer
 
     @pytest.mark.parametrize("widen", [0, 1])
     def test_int32_up_to_the_bound(self, widen):
@@ -485,6 +485,22 @@ class TestCheckpoints:
         )
         assert peak_mb < 512, peak_mb
 
+    def test_500_solve_peak_memory(self):
+        # A 500+500 solve at budget 50 in a fresh process, near 41 MB: the
+        # pass keeps decision bits, not grids.  Keeping every
+        # ceil(sqrt(K))-th grid layer for the walks instead reads 58 MB.
+        peak_mb = child_peak_rss_mb(
+            """
+            import random
+            from calsched import build_instance, shortest_schedule
+            rng = random.Random(50)
+            records = [(f"j{i}", rng.randint(0, 10**6) / 1000, i % 2) for i in range(1000)]
+            result = shortest_schedule(build_instance(records), 50)
+            assert result.feasible and result.changes <= 50
+            """
+        )
+        assert peak_mb < 46, peak_mb
+
 
 class TestPassPlan:
     """The running-minimum kernel and the chain threads of the forward pass."""
@@ -506,22 +522,26 @@ class TestPassPlan:
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 9, 10, 17, 24, 99, 100, 101])
     def test_blocked_minimum_equals_accumulate(self, dtype, rows):
         rng = np.random.default_rng(rows)
-        grid = rng.integers(-1000, 1000, size=(rows, 7)).astype(dtype)
-        expected = np.minimum.accumulate(grid, axis=0)
-        solver._blocked_minimum(grid)
+        values = rng.integers(-1000, 1000, size=(rows, 7)).astype(dtype)
+        grid = np.empty_like(values)
+        solver._blocked_minimum(values, grid)
         assert grid.dtype == dtype
-        assert np.array_equal(grid, expected)
+        assert np.array_equal(grid, np.minimum.accumulate(values, axis=0))
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_blocked_minimum_on_a_view_into_a_flat_buffer(self, dtype):
-        # As in the pass: a band grid at the front of a larger flat buffer,
-        # whose tail must stay untouched.
+        # As in the pass: from a band at the front of one flat buffer into
+        # a band grid at the front of another, whose tail must stay
+        # untouched, and leaving the sums as they were.
+        sums = np.full(23 * 11 + 5, 5555, dtype=dtype)
+        values = sums[: 19 * 11].reshape(19, 11)
+        values[...] = np.random.default_rng(3).integers(-500, 500, size=(19, 11))
+        before = values.copy()
         buffer = np.full(23 * 11 + 5, 7777, dtype=dtype)
         grid = buffer[: 19 * 11].reshape(19, 11)
-        grid[...] = np.random.default_rng(3).integers(-500, 500, size=(19, 11))
-        expected = np.minimum.accumulate(grid, axis=0)
-        solver._blocked_minimum(grid)
-        assert np.array_equal(grid, expected)
+        solver._blocked_minimum(values, grid)
+        assert np.array_equal(grid, np.minimum.accumulate(before, axis=0))
+        assert np.array_equal(values, before)
         assert (buffer[19 * 11 :] == 7777).all()
 
     @pytest.mark.parametrize("blocked", [False, True])
@@ -542,6 +562,31 @@ class TestPassPlan:
             own_order = weights if blocked else weights.T
             assert np.array_equal(own_order, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
 
+    def test_threaded_pass_relaxes_the_sequential_grids(self, monkeypatch):
+        # The chains meet after every layer, so two threads relax exactly
+        # the (layer, color) grids of one thread and stop at the first
+        # saturated layer, far below the top budget.
+        rng = random.Random(41)
+        temps = rng.sample(range(1, 1000), 120)
+        instance = make_two_color(temps[:60], temps[60:])
+        relaxed, tables = {}, {}
+        real_relax = solver.SearchGraph._relax
+        for threaded in (False, True):
+            calls = relaxed[threaded] = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "pass_plan", lambda width, cpus, t=threaded: (True, t))
+                mp.setattr(
+                    solver.SearchGraph,
+                    "_relax",
+                    lambda *a, calls=calls, **kw: calls.append(a[1:3]) or real_relax(*a, **kw),
+                )
+                table, _ = tables[threaded] = pareto_front(instance)
+        assert tables[True][0] == tables[False][0]
+        assert sorted(relaxed[True]) == sorted(relaxed[False])
+        assert len(set(relaxed[False])) == len(relaxed[False])
+        saturated = next(k for k, value in table if value == table[-1][1])
+        assert max(layer for layer, _ in relaxed[False]) == saturated - 1 < len(table) - 2
+
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         rng = random.Random(8)
         temps = rng.sample(range(1, 1000), 40)
@@ -559,6 +604,39 @@ class TestPassPlan:
         graph = build_search_graph(instance, 10)
         with pytest.raises(RuntimeError, match="worker chain failed"):
             graph.best_under_cap(10)
+        assert threading.active_count() == before
+
+    def test_caller_exception_stops_the_worker(self, monkeypatch):
+        # When the caller's chain fails, the worker waits at the barrier for
+        # a layer the caller never finishes, so the caller must break the
+        # barrier before it joins.
+        # The solve runs on a thread of its own, so a hang fails the test.
+        rng = random.Random(8)
+        temps = rng.sample(range(1, 1000), 40)
+        instance = make_two_color(temps[:20], temps[20:])
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (True, True))
+        real_relax = solver.SearchGraph._relax
+        caller, raised = [], []
+
+        def relax(graph, *args, **kwargs):
+            if threading.current_thread() is caller[0]:
+                raise RuntimeError("caller chain failed")
+            return real_relax(graph, *args, **kwargs)
+
+        def solve():
+            caller.append(threading.current_thread())
+            try:
+                build_search_graph(instance, 10).best_under_cap(10)
+            except RuntimeError as exc:
+                raised.append(str(exc))
+
+        monkeypatch.setattr(solver.SearchGraph, "_relax", relax)
+        before = threading.active_count()
+        thread = threading.Thread(target=solve, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert raised == ["caller chain failed"]
         assert threading.active_count() == before
 
     def test_threaded_solve_imports_no_concurrent_futures(self, tmp_path):
@@ -585,3 +663,67 @@ class TestPassPlan:
             assert "concurrent.futures" not in sys.modules
             """
         )
+
+
+GOLDEN_TWO_COLOR_COUNT = 300
+# Recorded before the distance pass stored decision bits instead of layers;
+# any change to a value, a tie-break or a schedule changes it.
+GOLDEN_TWO_COLOR_DIGEST = "d2944ddfec425a358d38482537cfac06e5938f45fd896e493f6034c2d1271c8e"
+
+
+def golden_two_color_records(count, seed=20261019):
+    """Two-color instances of 2-18 jobs, with a few of 24-60.  Temperatures
+    come from a coarse range, so optima tie and equal temperatures of one
+    color merge; a third of the instances have one color of one to three
+    jobs."""
+    rng = random.Random(seed)
+    for index in range(count):
+        n = rng.randint(24, 60) if index % 25 == 0 else rng.randint(2, 18)
+        lone = rng.randint(1, min(3, n - 1))
+        n0 = lone if index % 3 == 0 else rng.randint(1, n - 1)
+        colors = [0] * n0 + [1] * (n - n0)
+        if rng.random() < 0.5:
+            colors = [1 - c for c in colors]
+        top = rng.choice((3, 6, 12, 2 * n))
+        yield [(f"j{i}", rng.randint(0, top) * 0.5, c) for i, c in enumerate(colors)]
+
+
+def golden_two_color_results(instance):
+    table, solve = pareto_front(instance)
+    yield "table", table
+    budgets = [k for k, value in table if value is not None]
+    for label, results in (
+        ("batch", solve(budgets)),
+        ("single", [shortest_schedule(instance, k) for k in budgets]),
+    ):
+        yield label, [(r.total_change, r.changes, r.schedule.order) for r in results]
+    graph = build_search_graph(instance, max_merged_color_changes(instance))
+    yield "targets", graph.layer_target_distances()
+
+
+@pytest.mark.parametrize(
+    "plan,dtype",
+    [(None, None), ((True, False), None), ((True, True), None), (None, np.int64)],
+    ids=["natural", "blocked", "threaded", "int64"],
+)
+def test_two_color_golden_digest(monkeypatch, plan, dtype):
+    # The natural plan relaxes these narrow bands by minimum.accumulate;
+    # the forced plans run the blocked kernel, on one thread and with one
+    # chain on a second thread.  Every plan must give the same bytes.
+    if plan is not None:
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: plan)
+    if dtype is not None:
+        monkeypatch.setattr(solver, "grid_dtype", lambda changes, span: dtype)
+    sha = hashlib.sha256()
+    tied = 0
+    for records in golden_two_color_records(GOLDEN_TWO_COLOR_COUNT):
+        instance = build_instance(records)
+        targets = []
+        for result in golden_two_color_results(instance):
+            sha.update(repr(result).encode() + b"\n")
+            if result[0] == "targets":
+                targets = [v for v in result[1] if v is not None]
+        tied += len(targets) != len(set(targets))
+    # Coarse temperatures must make many change counts tie.
+    assert tied >= GOLDEN_TWO_COLOR_COUNT // 4, tied
+    assert sha.hexdigest() == GOLDEN_TWO_COLOR_DIGEST
