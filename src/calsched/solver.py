@@ -22,8 +22,9 @@ Every grid and per-cell weight array of color ``c`` is stored in c's own
 order, ``(n_c, n_o)`` in C order: one row per job of ``c``, one column per
 job of the other color.  So code written once for ``c`` indexes every
 array the same way, and both colors take their running minimum down the
-rows.  Relaxing a grid transposes once, because the grid it reads is
-stored in the other color's order (see :meth:`SearchGraph._relax`).
+rows.  Relaxing a grid reads the grid below through its transpose, since
+that grid is stored in the other color's order, and adds it to the one
+weight layout (see :meth:`SearchGraph._relax`).
 
 All weights are nonnegative scaled-integer temperature gaps, the graph is
 acyclic, and one pass of relaxations in layer order yields the distances
@@ -60,18 +61,20 @@ The pass is dense numpy work, shaped six ways:
   the one dtype of every band grid and buffer: ``int32`` when
   ``(max_changes + 4) * span <= 2**30``, else ``int64``.  Exits and
   targets are always ``int64``;
-* blocked and threaded: ``minimum.accumulate`` down the rows runs a
+* kernel and threads: ``minimum.accumulate`` down the rows runs a
   strided scalar loop per column, and numpy holds the GIL in it unless a
-  column has more than 500 cells.  :func:`_blocked_minimum` gives the
-  same running minimum from about ``2 * sqrt(rows)`` calls over whole
-  rows, which release the GIL.  A color-c grid reads only the color-o
-  grid of the layer below, so the grids form two chains by the parity of
-  layer + color.  With a wide band and two usable CPUs, the forward pass
-  runs one chain on a second thread while that plan holds.  The chains
-  meet after every layer: the last to arrive records the layer's
-  targets, and both stop at the first layer that saturates, so they
-  relax exactly the grids one thread would.  :func:`pass_plan` makes
-  both choices from the band width and the usable CPU count.
+  column has more than 500 cells.  :func:`_doubling_minimum` gives the
+  same running minimum from about ``2 * log2(rows)`` calls over whole
+  arrays, and :func:`_blocked_minimum` from about ``2 * sqrt(rows)``
+  calls over whole rows; both release the GIL.  A color-c grid reads
+  only the color-o grid of the layer below, so the grids form two chains
+  by the parity of layer + color.  With a wide band and two usable CPUs,
+  the forward pass runs one chain on a second thread while that plan
+  holds.  The chains meet after every layer: the last to arrive records
+  the layer's targets, and both stop at the first layer that saturates,
+  so they relax exactly the grids one thread would.  :func:`pass_plan`
+  picks the kernel and the threads from the band width and the usable
+  CPU count.
 
 The magnitude bound that :class:`~calsched.core.Instance` enforces keeps
 every real distance far below the ``INF`` sentinel, and no ``INF`` ever
@@ -102,6 +105,9 @@ from .core import (
 )
 
 _PAIRS = ((0, 1), (1, 0))  # (c, o): each color, then the other one
+
+# A running minimum down the rows: (values, out, spare), all of one shape.
+Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -173,8 +179,9 @@ class SearchGraph:
         (index 0 unused), and ``best[k]`` the best ``(value, changes)``
         with at most ``k`` changes; the number of layers priced is
         ``len(tau) - 2``.  ``t_grid`` holds ``t`` in the grid dtype, for the
-        weights :meth:`_plan` builds, and ``cpus`` the number of CPUs this
-        process may run on, read once for :func:`pass_plan`.
+        ``into`` weights that :meth:`_plan` builds before the first grid is
+        relaxed, and ``cpus`` the number of CPUs this process may run on,
+        read once for :func:`pass_plan`.
         """
         if self._dp:
             return self._dp
@@ -194,8 +201,7 @@ class SearchGraph:
             t=t,
             entry=entry,
             t_grid=tuple(tc.astype(dtype) for tc in t),
-            into=None,  # built by _plan for the blocked form
-            into_t=None,  # each into[c].T, built by _plan for the accumulate form
+            into=None,  # built by _plan
             exit=tuple(
                 t[o][-1] + np.minimum(np.abs(t[c][1:] - t[o][-1]), abs(int(t[c][-1] - t[o][-1])))
                 + (t[c][-1] - t[c][1:])
@@ -238,16 +244,16 @@ class SearchGraph:
                     dp["lows"][c] = self._exits(1, 1 - c).min(initial=INF)
                 self._record()
                 continue
-            blocked, threaded = self._plan(self._width(layer), dp["cpus"])
+            kernel, threaded = self._plan(self._width(layer), dp["cpus"])
             if threaded:
                 # Up to the last layer that is needed and keeps this plan.
                 end, cpus = layer, dp["cpus"]
-                while end + 1 < changes and pass_plan(self._width(end + 1), cpus) == (blocked, True):
+                while end + 1 < changes and pass_plan(self._width(end + 1), cpus) == (kernel, True):
                     end += 1
-                self._price_threaded(layer, end, blocked, changes, until_span)
+                self._price_threaded(layer, end, kernel, changes, until_span)
             else:
-                self._advance(0, layer, blocked)
-                self._advance(1, layer, blocked)
+                self._advance(0, layer, kernel)
+                self._advance(1, layer, kernel)
                 self._record()
         return dp
 
@@ -257,7 +263,7 @@ class SearchGraph:
         return len(dp["tau"]) <= changes and not (until_span and dp["best"][-1][0] <= dp["span"])
 
     def _price_threaded(
-        self, first: int, end: int, blocked: bool, changes: int, until_span: bool
+        self, first: int, end: int, kernel: Kernel, changes: int, until_span: bool
     ) -> None:
         """Relax layers ``first`` through ``end``, chain 1 on a worker
         thread and chain 0 on this one.
@@ -273,19 +279,19 @@ class SearchGraph:
 
         def chain(p: int) -> None:
             for layer in range(first, end + 1):
-                self._advance(p, layer, blocked)
+                self._advance(p, layer, kernel)
                 barrier.wait()
                 if not self._more(changes, until_span):
                     return
 
         _on_two_threads(lambda: chain(1), lambda: chain(0), barrier)
 
-    def _advance(self, p: int, layer: int, blocked: bool) -> None:
+    def _advance(self, p: int, layer: int, kernel: Kernel) -> None:
         """Relax chain ``p``'s grid of ``layer`` (2 and up) and note its
         least exit."""
         dp = self._dp
         c = (p + layer) % 2
-        dp["grids"][p] = self._relax(layer, c, dp["grids"][p], blocked, dp["work"][p])
+        dp["grids"][p] = self._relax(layer, c, dp["grids"][p], kernel, dp["work"][p])
         dp["lows"][c] = self._exits(layer, 1 - c).min(initial=INF)
 
     def _record(self) -> None:
@@ -295,21 +301,17 @@ class SearchGraph:
         tau.append(value)
         best.append((value, len(tau) - 1) if value < best[-1][0] else best[-1])
 
-    def _plan(self, width: int, cpus: int) -> tuple[bool, bool]:
-        """:func:`pass_plan` for this graph.  Before any chain runs, the
-        calling thread builds the weights that the picked form of
-        :meth:`_relax` reads, the first time it is picked: ``into`` for the
-        blocked form, ``into_t`` for the accumulate form."""
-        blocked, threaded = pass_plan(width, cpus)
+    def _plan(self, width: int, cpus: int) -> tuple[Kernel, bool]:
+        """:func:`pass_plan` for this graph.  The first time, before any
+        chain runs, the calling thread also builds the ``into`` weights,
+        c's jobs down and o's jobs across, which every kernel's
+        :meth:`_relax` reads; a graph that prices no layer past the first
+        never builds them."""
         dp = self._dp
-        key = "into" if blocked else "into_t"
-        if dp[key] is None:
+        if dp["into"] is None:
             t = dp["t_grid"]
-            if blocked:  # c's jobs down, o's jobs across
-                dp[key] = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
-            else:
-                dp[key] = tuple(_junctions(t[o][:, None], t[c][None, :]) for c, o in _PAIRS)
-        return blocked, threaded
+            dp["into"] = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
+        return pass_plan(width, cpus)
 
     def _width(self, layer: int) -> int:
         """The shortest side of any of ``layer``'s band grids."""
@@ -333,21 +335,16 @@ class SearchGraph:
         layer: int,
         c: int,
         prev: np.ndarray,
-        blocked: bool,
+        kernel: Kernel,
         work: tuple[tuple[np.ndarray, ...], np.ndarray],
     ) -> np.ndarray:
         """``layer``'s color-c band grid (layer 2 and up) from ``prev``, the
         color-o grid of the layer below, and what reconstruction reads of
         it: ``bits[layer, c]`` and ``rows[layer, c]``.
 
-        The grid is the running minimum down the rows of ``paths``,
-        ``prev.T`` plus ``into[c]``.  The ``blocked`` form adds in the
-        grid's order and runs :func:`_blocked_minimum` from ``paths`` into
-        the grid.  The other form adds in ``prev``'s order, to
-        ``into[c].T``, and ``minimum.accumulate`` runs along that sum's
-        rows and writes the grid through its transpose: accumulate's loop
-        is as slow along either axis, so the transpose then costs nothing
-        extra.
+        ``paths``, ``prev.T`` plus ``into[c]``, is added in the grid's own
+        order, and ``kernel``, the running minimum that :func:`pass_plan`
+        picked, takes it down the rows of ``paths`` into the grid.
 
         A bit of ``bits[layer, c]``, packed along each grid row, is set
         where ``paths`` equals the grid, that is, where the cell's own
@@ -357,24 +354,20 @@ class SearchGraph:
         ``work`` is the chain's three flat grid buffers and its mask
         buffer.  The grid of ``layer`` goes into buffer ``layer % 3`` and
         ``paths`` into ``(layer + 1) % 3``; ``prev`` lies in the third, or
-        is layer 1's broadcast view.
+        is layer 1's broadcast view, and is dead once ``paths`` is added,
+        so the kernel may use the third buffer as its spare.
         """
         dp = self._dp
         a, b = _band(layer)
         h, w = self._n[c] - a, self._n[1 - c] - b
         flats, mask = work
-        grid = flats[layer % 3][: h * w].reshape(h, w)
-        mask = mask[: h * w].reshape(h, w)
-        if blocked:
-            paths = flats[(layer + 1) % 3][: h * w].reshape(h, w)
-            np.add(prev.T[:h, :w], dp["into"][c][a:, b:], out=paths)
-            _blocked_minimum(paths, grid)
-            np.equal(paths, grid, out=mask)
-        else:
-            paths = flats[(layer + 1) % 3][: h * w].reshape(w, h)
-            np.add(prev[:w, :h], dp["into_t"][c][b:, a:], out=paths)
-            np.minimum.accumulate(paths, axis=1, out=grid.T)
-            np.equal(paths.T, grid, out=mask)
+        grid, paths, spare, mask = (
+            flat[: h * w].reshape(h, w)
+            for flat in (flats[layer % 3], flats[(layer + 1) % 3], flats[(layer + 2) % 3], mask)
+        )
+        np.add(prev.T[:h, :w], dp["into"][c][a:, b:], out=paths)
+        kernel(paths, grid, spare)
+        np.equal(paths, grid, out=mask)
         dp["bits"][layer, c] = np.packbits(mask, axis=1, bitorder="little")
         dp["rows"][layer, c] = grid[-1].copy()
         return grid
@@ -545,32 +538,81 @@ def grid_dtype(max_changes: int, span: int) -> type[np.signedinteger]:
 
 
 # Crossovers of pass_plan, in band width (a band grid's shortest side).
-# Measured on a 2-core x86-64 KVM guest with numpy 2.4, pricing 20 and 40
-# layers of (w + 10) + (w + 10) and (w + 20) + (w + 20) jobs: the blocked
-# form took 6.3-13.0 ms against 6.9-14.0 ms at w = 200 and tied at 150;
-# two threads took 10.6-24.4 ms against 11.3-30.7 ms at 300, 12.2-30.4
-# against 16.1-31.4 ms at 350, and lost at 200 (7.8-16.0 against
-# 6.3-13.0 ms).  Each row of this comment is the range over 2-4 runs.
-_BLOCKED_FROM = 200
+# Measured on a 2-core x86-64 KVM guest with numpy 2.4, one thread, int32
+# grids, pricing 20 and 40 layers of (w + 10) + (w + 10) and (w + 20) +
+# (w + 20) jobs, median of 7 runs: the doubling kernel took 2.8 and 5.8 ms
+# against accumulate's 2.2 and 4.8 ms at w = 60, tied at 100 (3.8 and 7.9-8.0
+# ms each), and won at 150 (6.2 and 12.7 against 6.9 and 14.5 ms).  The
+# blocked kernel took 10.7 and 23.6 ms against doubling's 8.3 and 17.4 ms
+# at 200, tied at 300-350 (21.9 and 42.6 against 20.5 and 40.3 ms at 300)
+# and won at 500 (62 and 120 against 72 and 150 ms).  With two CPUs, two
+# threads took 10.6-24.4 ms against 11.3-30.7 ms on one at 300 and lost at
+# 200 (blocked kernel).  On two threads, the seeded 500+500 solve at budget
+# 50 (bands 476-499 wide) took 0.97-1.02 times as long with the doubling
+# kernel as with the blocked one over three sets of 24 runs, so threads keep
+# the blocked kernel.
+_DOUBLING_FROM = 100
+_BLOCKED_FROM = 300
 _THREADS_FROM = 300
 
 
-def pass_plan(width: int, cpus: int) -> tuple[bool, bool]:
-    """Whether band grids ``width`` wide are relaxed in the blocked form,
-    and whether the forward pass runs its two parity chains on two threads
+def pass_plan(width: int, cpus: int) -> tuple[Kernel, bool]:
+    """The running-minimum kernel for band grids ``width`` wide, and
+    whether the forward pass runs its two parity chains on two threads
     when ``cpus`` CPUs are usable.
 
-    :func:`_blocked_minimum` beats ``minimum.accumulate`` from about
-    ``_BLOCKED_FROM`` rows.  It releases the GIL, so two chains on two
-    threads beat one from about ``_THREADS_FROM``; narrower bands lose more
-    to starting threads and to passing the GIL than they gain.
+    ``minimum.accumulate`` runs a scalar loop that costs about the same
+    per cell at any width.  :func:`_doubling_minimum` makes about
+    ``log2(rows)`` vectorized passes, whose fixed cost per call pays from
+    about ``_DOUBLING_FROM`` wide, and :func:`_blocked_minimum` makes about
+    three passes in more calls, which pays from about ``_BLOCKED_FROM``.
+    The blocked kernel releases the GIL, so two chains on two threads beat
+    one from about ``_THREADS_FROM``; narrower bands lose more to starting
+    threads and to passing the GIL than they gain.
     """
-    return width >= _BLOCKED_FROM, cpus >= 2 and width >= _THREADS_FROM
+    if width < _DOUBLING_FROM:
+        kernel = _accumulate_minimum
+    else:
+        kernel = _doubling_minimum if width < _BLOCKED_FROM else _blocked_minimum
+    return kernel, cpus >= 2 and width >= _THREADS_FROM
 
 
-def _blocked_minimum(values: np.ndarray, out: np.ndarray) -> None:
+def _accumulate_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+    """Running minimum down the rows of ``values`` into ``out`` by numpy's
+    ``minimum.accumulate``: one strided scalar loop per column.  ``spare``
+    is not used."""
+    np.minimum.accumulate(values, axis=0, out=out)
+
+
+def _doubling_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+    """Running minimum down the rows of ``values`` into ``out``, in about
+    ``2 * log2(rows)`` calls over whole arrays; ``values`` is left as it
+    was and ``spare`` is overwritten.
+
+    After the step with offset ``d`` (1, 2, 4, ... below ``rows``), row
+    ``r`` holds the minimum of the ``2 * d`` rows up to ``r``: it takes the
+    minimum with row ``r - d`` of the step before, and the first ``d`` rows
+    are already final.  Each step writes into the buffer the step before
+    did not, alternating between ``out`` and ``spare``, and the parity of
+    the step count picks the first so that the last writes ``out``.
+    """
+    rows = len(values)
+    steps = max(rows - 1, 0).bit_length()
+    if not steps:
+        out[...] = values
+        return
+    targets = (out, spare) if steps % 2 else (spare, out)
+    source, d = values, 1
+    for step in range(steps):
+        target = targets[step % 2]
+        np.minimum(source[d:], source[:-d], out=target[d:])
+        target[:d] = source[:d]
+        source, d = target, 2 * d
+
+
+def _blocked_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
     """Running minimum down the rows of the C-contiguous ``values``, into
-    the C-contiguous ``out`` of the same shape.
+    the C-contiguous ``out`` of the same shape; ``spare`` is not used.
 
     ``minimum.accumulate`` along axis 0 runs one strided scalar loop per
     column and holds the GIL when a column has 500 or fewer cells.  Here

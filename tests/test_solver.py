@@ -36,6 +36,15 @@ from conftest import (
 )
 from graph_view import arc_count, iter_arcs, iter_nodes, node_count
 
+# Each running-minimum kernel on one thread, and the blocked kernel with
+# one chain on a second thread, as pass_plan would return them.
+FORCED_PLANS = {
+    "accumulate": (solver._accumulate_minimum, False),
+    "doubling": (solver._doubling_minimum, False),
+    "blocked": (solver._blocked_minimum, False),
+    "threaded": (solver._blocked_minimum, True),
+}
+
 
 @st.composite
 def lopsided_records(draw, max_jobs=9, max_temp=9):
@@ -381,12 +390,12 @@ class TestCheckpoints:
     @settings(max_examples=60, deadline=None)
     def test_plan_and_dtype_do_not_change_answers(self, records):
         # int64 grids hold every value, and these bands are narrow enough
-        # for the sequential accumulate form: the reference.  The forced
-        # plans run the blocked kernel, on one thread and with the chains
-        # on two.
+        # for minimum.accumulate on one thread: the reference.  The forced
+        # plans run each kernel on one thread, and the blocked kernel with
+        # the chains on two.
         instance = build_instance(records)
         seen = []
-        for dtype, plan in itertools.product((np.int64, None), (None, (True, False), (True, True))):
+        for dtype, plan in itertools.product((np.int64, None), (None, *FORCED_PLANS.values())):
             with pytest.MonkeyPatch.context() as mp:
                 if dtype is not None:
                     mp.setattr(solver, "grid_dtype", lambda changes, span, d=dtype: d)
@@ -507,16 +516,23 @@ class TestPassPlan:
 
     def test_narrow_bands_accumulate_on_one_thread(self):
         for cpus in (1, 2, 64):
-            assert solver.pass_plan(solver._BLOCKED_FROM - 1, cpus) == (False, False)
-            assert solver.pass_plan(60, cpus) == (False, False)
+            for width in (60, solver._DOUBLING_FROM - 1):
+                assert solver.pass_plan(width, cpus) == (solver._accumulate_minimum, False)
+
+    def test_mid_bands_double_on_one_thread(self):
+        for cpus in (1, 2, 64):
+            for width in (solver._DOUBLING_FROM, 150, solver._BLOCKED_FROM - 1):
+                assert solver.pass_plan(width, cpus) == (solver._doubling_minimum, False)
 
     def test_wide_bands_block_and_thread_with_two_cpus(self):
+        blocked = solver._blocked_minimum
         wide = max(solver._THREADS_FROM, 1000)
-        assert solver.pass_plan(wide, 1) == (True, False)
-        assert solver.pass_plan(wide, 2) == (True, True)
-        assert solver.pass_plan(solver._THREADS_FROM, 2) == (True, True)
-        assert solver.pass_plan(solver._THREADS_FROM - 1, 2) == (True, False)
-        assert solver._BLOCKED_FROM < solver._THREADS_FROM
+        assert solver.pass_plan(wide, 1) == (blocked, False)
+        assert solver.pass_plan(wide, 2) == (blocked, True)
+        assert solver.pass_plan(solver._THREADS_FROM, 2) == (blocked, True)
+        assert solver.pass_plan(solver._BLOCKED_FROM, 1) == (blocked, False)
+        # Two threads always run the blocked kernel.
+        assert solver._DOUBLING_FROM < solver._BLOCKED_FROM <= solver._THREADS_FROM
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 9, 10, 17, 24, 99, 100, 101])
@@ -524,7 +540,7 @@ class TestPassPlan:
         rng = np.random.default_rng(rows)
         values = rng.integers(-1000, 1000, size=(rows, 7)).astype(dtype)
         grid = np.empty_like(values)
-        solver._blocked_minimum(values, grid)
+        solver._blocked_minimum(values, grid, np.empty_like(values))
         assert grid.dtype == dtype
         assert np.array_equal(grid, np.minimum.accumulate(values, axis=0))
 
@@ -539,28 +555,78 @@ class TestPassPlan:
         before = values.copy()
         buffer = np.full(23 * 11 + 5, 7777, dtype=dtype)
         grid = buffer[: 19 * 11].reshape(19, 11)
-        solver._blocked_minimum(values, grid)
+        solver._blocked_minimum(values, grid, np.empty_like(values))
         assert np.array_equal(grid, np.minimum.accumulate(before, axis=0))
         assert np.array_equal(values, before)
         assert (buffer[19 * 11 :] == 7777).all()
 
-    @pytest.mark.parametrize("blocked", [False, True])
-    def test_graph_builds_only_the_weights_its_form_reads(self, monkeypatch, blocked):
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 100, 101])
+    def test_doubling_minimum_equals_accumulate(self, dtype, rows):
+        # Both parities of the step count ((rows - 1).bit_length()) must
+        # end in out, not in spare.
+        rng = np.random.default_rng(rows)
+        values = rng.integers(-1000, 1000, size=(rows, 7)).astype(dtype)
+        before = values.copy()
+        grid = np.full_like(values, 7777)
+        solver._doubling_minimum(values, grid, np.full_like(values, 5555))
+        assert grid.dtype == dtype
+        assert np.array_equal(grid, np.minimum.accumulate(before, axis=0))
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("rows", [8, 9])
+    def test_doubling_minimum_on_views_into_three_flat_buffers(self, dtype, rows):
+        # As in the pass: the sums, the grid and the spare are bands at the
+        # front of a chain's three flat buffers.  The sums stay as they
+        # were, and the tails past the band in the grid and spare buffers
+        # stay untouched.
+        size = rows * 11
+        flats = [np.full(23 * 11 + 5, fill, dtype=dtype) for fill in (5555, 7777, 3333)]
+        values, grid, spare = (flat[:size].reshape(rows, 11) for flat in flats)
+        values[...] = np.random.default_rng(rows).integers(-500, 500, size=(rows, 11))
+        before = values.copy()
+        solver._doubling_minimum(values, grid, spare)
+        assert np.array_equal(grid, np.minimum.accumulate(before, axis=0))
+        assert np.array_equal(values, before)
+        assert (flats[0][size:] == 5555).all()
+        assert (flats[1][size:] == 7777).all()
+        assert (flats[2][size:] == 3333).all()
+
+    @pytest.mark.parametrize("kernel", ["accumulate", "doubling", "blocked"])
+    def test_every_kernel_reads_the_one_weight_layout(self, monkeypatch, kernel):
+        # Every kernel takes its running minimum down the rows of sums in
+        # the grid's own order, c's jobs down, built from the one into[c].
         rng = random.Random(12)
         temps = rng.sample(range(1, 1000), 24)
-        instance = make_two_color(temps[:12], temps[12:])
+        instance = make_two_color(temps[:8], temps[8:])
         expected = build_search_graph(instance, 9).solve_many(range(1, 10))
-        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (blocked, False))
+        relaxed, shapes = [], []
+        real_kernel = FORCED_PLANS[kernel][0]
+        real_relax = solver.SearchGraph._relax
+
+        def recording(values, out, spare):
+            assert all(a.flags.c_contiguous for a in (values, out, spare))
+            shapes.append(values.shape)
+            real_kernel(values, out, spare)
+
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (recording, False))
+        monkeypatch.setattr(
+            solver.SearchGraph,
+            "_relax",
+            lambda *a, **kw: relaxed.append(a[1:3]) or real_relax(*a, **kw),
+        )
         graph = build_search_graph(instance, 9)
         assert graph.solve_many(range(1, 10)) == expected
-        built, unused = ("into", "into_t") if blocked else ("into_t", "into")
-        assert graph._dp[unused] is None
+        n = (graph.n0, graph.n1)
+        assert relaxed and shapes == [
+            (n[c] - _band(layer)[0], n[1 - c] - _band(layer)[1]) for layer, c in relaxed
+        ]
         t = graph._dp["t"]
         for c, o in ((0, 1), (1, 0)):
-            weights = graph._dp[built][c]
+            weights = graph._dp["into"][c]
             assert weights.flags.c_contiguous
-            own_order = weights if blocked else weights.T
-            assert np.array_equal(own_order, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
+            assert np.array_equal(weights, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
 
     def test_threaded_pass_relaxes_the_sequential_grids(self, monkeypatch):
         # The chains meet after every layer, so two threads relax exactly
@@ -574,7 +640,8 @@ class TestPassPlan:
         for threaded in (False, True):
             calls = relaxed[threaded] = []
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(solver, "pass_plan", lambda width, cpus, t=threaded: (True, t))
+                plan = FORCED_PLANS["threaded" if threaded else "blocked"]
+                mp.setattr(solver, "pass_plan", lambda width, cpus, p=plan: p)
                 mp.setattr(
                     solver.SearchGraph,
                     "_relax",
@@ -591,7 +658,7 @@ class TestPassPlan:
         rng = random.Random(8)
         temps = rng.sample(range(1, 1000), 40)
         instance = make_two_color(temps[:20], temps[20:])
-        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (True, True))
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: FORCED_PLANS["threaded"])
         real_relax = solver.SearchGraph._relax
 
         def relax(graph, *args, **kwargs):
@@ -614,7 +681,7 @@ class TestPassPlan:
         rng = random.Random(8)
         temps = rng.sample(range(1, 1000), 40)
         instance = make_two_color(temps[:20], temps[20:])
-        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (True, True))
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: FORCED_PLANS["threaded"])
         real_relax = solver.SearchGraph._relax
         caller, raised = [], []
 
@@ -652,7 +719,7 @@ class TestPassPlan:
             f"""
             import contextlib, io, sys, threading
             from calsched import cli, solver
-            solver.pass_plan = lambda width, cpus: (True, True)
+            solver.pass_plan = lambda width, cpus: (solver._blocked_minimum, True)
             started = []
             start = threading.Thread.start
             threading.Thread.start = lambda thread: started.append(thread) or start(thread)
@@ -703,13 +770,14 @@ def golden_two_color_results(instance):
 
 @pytest.mark.parametrize(
     "plan,dtype",
-    [(None, None), ((True, False), None), ((True, True), None), (None, np.int64)],
-    ids=["natural", "blocked", "threaded", "int64"],
+    [(None, None), *((plan, None) for plan in FORCED_PLANS.values()), (None, np.int64)],
+    ids=["natural", *FORCED_PLANS, "int64"],
 )
 def test_two_color_golden_digest(monkeypatch, plan, dtype):
     # The natural plan relaxes these narrow bands by minimum.accumulate;
-    # the forced plans run the blocked kernel, on one thread and with one
-    # chain on a second thread.  Every plan must give the same bytes.
+    # the forced plans run each kernel on one thread, and the blocked
+    # kernel with one chain on a second thread.  Every plan must give the
+    # same bytes.
     if plan is not None:
         monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: plan)
     if dtype is not None:

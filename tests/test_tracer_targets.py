@@ -47,7 +47,8 @@ def test_threaded_pass_keeps_the_span_tree(tmp_path, monkeypatch):
     path.write_text("".join(f"j{i},{t / 1000},{i % 2}\n" for i, t in enumerate(temps)), encoding="utf-8")
     trees = []
     for threaded in (False, True):
-        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus, t=threaded: (True, t))
+        plan = (solver._blocked_minimum, threaded)
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus, p=plan: p)
         tracer = tracing.Tracer()
         with tracer.tracing(0), contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["sweep", "--input", str(path)]) == 0
