@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,8 +28,10 @@ from .formats import (
     emit_plot,
     generate_instance,
     parse_instance,
+    parse_json,
     plot_svg,
     plot_tsv,
+    plot_tsv_bytes,
     serialize_instance,
     verify_schedule,
 )
@@ -43,8 +46,18 @@ EXIT_TOO_LARGE = 3
 EXIT_INTERNAL = 4
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; any other bytes are a ValidationError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+        ) from None
+
+
 def _load_instance(path: str, fmt: str | None) -> Instance:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     return parse_instance(text, fmt or detect_format(text))
 
 
@@ -60,6 +73,18 @@ def _result_document(result: SolveResult, pareto: list[tuple[int, int | None]] |
             [k, None if v is None else format_temperature(v)] for k, v in pareto
         ]
     return doc
+
+
+def _write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` with bare system calls, which cost less
+    per small file than a buffered file object."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
 
 
 def _write_plot(schedule: Schedule, path: str) -> None:
@@ -120,15 +145,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if plotted:
         out_dir = Path(args.emit_plot_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        # Flat stretches of the curve share a schedule; format it once, and
-        # each job temperature once across the plots.
-        texts: dict[tuple[str, ...], str] = {}
-        labels: dict[int, str] = {}
+        # Flat stretches of the curve share a schedule; format it once and
+        # write its bytes to the file of each budget.
+        plots: dict[tuple[str, ...], tuple[Schedule, list[int]]] = {}
         for k, plot_result in zip(plotted, plot_results):
-            schedule = plot_result.schedule
-            if schedule.order not in texts:
-                texts[schedule.order] = plot_tsv(schedule, labels)
-            (out_dir / f"pareto_k{k}.tsv").write_text(texts[schedule.order], encoding="utf-8")
+            plots.setdefault(plot_result.schedule.order, (plot_result.schedule, []))[1].append(k)
+        texts = plot_tsv_bytes([schedule for schedule, _ in plots.values()])
+        for (_, budgets), data in zip(plots.values(), texts):
+            for k in budgets:
+                _write_bytes(out_dir / f"pareto_k{k}.tsv", data)
     print(json.dumps(_result_document(result, pareto=table), indent=2))
     return EXIT_OK
 
@@ -148,7 +173,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input, args.format)
-    payload = json.loads(Path(args.schedule).read_text(encoding="utf-8"))
+    payload = parse_json(_read_text(args.schedule))
     if isinstance(payload, dict):
         ids = payload.get("schedule")
         claimed_t = payload.get("T")
@@ -218,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (ValidationError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except AssertionError as exc:

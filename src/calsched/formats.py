@@ -8,7 +8,10 @@ Interchange formats:
 * JSON: array of ``{"id", "temperature", "color"}`` objects.
 * Plot TSV: ``cumulative<TAB>temperature<TAB>color<TAB>id`` rows in the
   paper-style cumulative-temperature layout: the running total change is
-  the x coordinate, the job temperature the y coordinate.
+  the x coordinate, the job temperature the y coordinate.  Plots of one
+  instance are built as UTF-8 bytes from numpy columns, a chunk of
+  schedules at a time (:func:`plot_tsv_bytes`); :func:`plot_tsv` is the
+  one-schedule call and :func:`emit_plot` reads the same columns.
 
 Temperatures are serialized as decimal strings with at most three
 fractional digits so parse/serialize roundtrips are bit-exact.
@@ -21,8 +24,13 @@ import io
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .core import (
+    SCALE,
     Instance,
     Job,
     Schedule,
@@ -92,11 +100,19 @@ def _parse_csv(text: str) -> Instance:
         raise
 
 
-def _parse_json(text: str) -> Instance:
+def parse_json(text: str) -> object:
+    """``json.loads``, with malformed or too deeply nested JSON as a
+    ValidationError."""
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError("invalid JSON: nested too deeply") from None
+
+
+def _parse_json(text: str) -> Instance:
+    data = parse_json(text)
     if not isinstance(data, list):
         raise ValidationError("JSON instance must be an array of job objects")
     records = []
@@ -141,54 +157,153 @@ class PlotRow:
     job_id: str
 
 
-def _plot_columns(
-    schedule: Schedule,
-) -> tuple[list[int], list[int], list[int], list[str]]:
-    """Cumulative change, temperature, color and id of each expanded job.
+def _members(instance: Instance) -> list[tuple[Job, str]]:
+    """Every expanded job as ``(merged job, member id)``, numbered in
+    ``instance.jobs`` order with each job's members in order."""
+    return [(job, member) for job in instance.jobs for member in job.members]
 
-    Members of a merged job share its temperature, so they add no change.
+
+def _plot_columns(
+    instance: Instance, orders: Sequence[tuple[str, ...]], step: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Cumulative change and member number (see :func:`_members`) of each
+    expanded job of ``step`` orders of ``instance``'s merged jobs at a
+    time, as two flat arrays that run through the orders in turn.
+
+    The cumulative change is ``cumsum(abs(diff(temperatures)))`` along each
+    order.  Members of a merged job share its temperature, so they repeat
+    its cumulative change and add none.
     """
-    cumulative: list[int] = []
-    temperatures: list[int] = []
-    colors: list[int] = []
-    ids: list[str] = []
-    total = 0
-    previous: int | None = None
-    for job in schedule.jobs:
-        temperature = job.temperature
-        if previous is not None:
-            total += abs(temperature - previous)
-        previous = temperature
-        for member in job.members:
-            cumulative.append(total)
-            temperatures.append(temperature)
-            colors.append(job.color)
-            ids.append(member)
-    return cumulative, temperatures, colors, ids
+    jobs = instance.jobs
+    position = {job.id: index for index, job in enumerate(jobs)}
+    temperatures = np.array([job.temperature for job in jobs], np.int64)
+    counts = np.array([job.multiplicity for job in jobs], np.intp)
+    firsts = counts.cumsum() - counts
+    total = instance.total_jobs
+    for start in range(0, len(orders), step):
+        chunk = orders[start : start + step]
+        picked = np.fromiter(
+            chain.from_iterable(map(position.__getitem__, order) for order in chunk),
+            np.intp,
+            len(chunk) * len(jobs),
+        )
+        ordered = temperatures[picked].reshape(len(chunk), -1)
+        steps = np.abs(ordered[:, 1:] - ordered[:, :-1])
+        cumulative = np.zeros(ordered.shape, np.int64)
+        steps.cumsum(axis=1, out=cumulative[:, 1:])
+        repeats = counts[picked]
+        # The members of a job placed at expanded position p count up from
+        # its first member number: member = p - p0 + first.
+        shift = firsts[picked] - (repeats.cumsum() - repeats)
+        member = np.arange(len(chunk) * total) + shift.repeat(repeats)
+        yield cumulative.ravel().repeat(repeats), member
 
 
 def emit_plot(schedule: Schedule) -> list[PlotRow]:
     """Cumulative-change plot series, one row per expanded job."""
-    return [PlotRow(*row) for row in zip(*_plot_columns(schedule))]
-
-
-def plot_tsv(schedule: Schedule, labels: dict[int, str] | None = None) -> str:
-    """Plot TSV text of ``schedule``, one line per expanded job.
-
-    ``labels`` caches the decimal text of job temperatures; plots of one
-    instance that share it format each job temperature once between them.
-    Cumulative values are formatted per row, since few of them repeat.
-    """
-    cumulative, temperatures, colors, ids = _plot_columns(schedule)
-    labels = {} if labels is None else labels
-    for temperature in set(temperatures).difference(labels):
-        labels[temperature] = format_temperature(temperature)
-    lines = ["cumulative_T\ttemperature\tcolor\tid"]
-    lines += [
-        f"{format_temperature(x)}\t{labels[t]}\t{c}\t{i}"
-        for x, t, c, i in zip(cumulative, temperatures, colors, ids)
+    members = _members(schedule.instance)
+    cumulative, member = next(_plot_columns(schedule.instance, [schedule.order], 1))
+    return [
+        PlotRow(x, job.temperature, job.color, job_id)
+        for x, (job, job_id) in zip(cumulative.tolist(), map(members.__getitem__, member.tolist()))
     ]
-    return "\n".join(lines) + "\n"
+
+
+_PLOT_HEADER = b"cumulative_T\ttemperature\tcolor\tid\n"
+
+# Plot rows formatted at a time, so a sweep never holds the text of all its
+# plots at once.  Larger chunks spread the array calls over more rows, but
+# their temporaries (some 600 bytes a row) stop fitting in reused heap
+# memory: at 2048 rows a 60+60 sweep formatted slower than at 512.
+_CHUNK_ROWS = 512
+
+
+def _segments(pieces: list[bytes]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pieces`` as one byte buffer, with the start and length of each."""
+    lengths = np.fromiter(map(len, pieces), np.intp, len(pieces))
+    return np.frombuffer(b"".join(pieces), np.uint8), lengths.cumsum() - lengths, lengths
+
+
+def _gather(buffer: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The segments ``buffer[start : start + length]``, concatenated."""
+    ends = lengths.cumsum()
+    index = (starts - ends + lengths).repeat(lengths)
+    index += np.arange(len(index))
+    return buffer[index]
+
+
+# Digit place values; a scaled value below 2**63 has at most 19 digits.
+_POWERS = np.array([10**k for k in range(19)], np.int64)
+
+# format_temperature's text after the whole part, by thousandths: "" for
+# 0, ".5" for 500, ".125" for 125; as bytes padded with NUL, and its length.
+_FRACTION_TEXT = np.array([format_temperature(f)[1:] for f in range(SCALE)], "S4")
+_FRACTION_TEXT = _FRACTION_TEXT.view(np.uint8).reshape(SCALE, 4)
+_FRACTION_LENGTHS = np.count_nonzero(_FRACTION_TEXT, axis=1)
+
+
+def _rows(
+    cumulative: np.ndarray, member: np.ndarray, tails: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """Plot rows as one byte array, and the end of each row in it.
+
+    Row ``r`` is ``cumulative[r]`` in :func:`~calsched.core.format_temperature`'s
+    text, then the tail of member ``member[r]`` (``tails`` as
+    :func:`_segments` gives them).  Row ``r`` of ``numbers`` holds the
+    digits of the value's whole part, right-aligned, then the padded
+    text of its fraction; the value's text runs from the first digit to
+    the end of that text.
+    """
+    whole = cumulative // SCALE
+    fraction = cumulative - SCALE * whole
+    width = len(str(int(whole.max())))
+    # Quotients by 10**(width - 1), ..., 10, 1; each ends in one digit.
+    quotients = whole[:, None] // _POWERS[width - 1 :: -1]
+    whole_digits = 1 + np.minimum(quotients[:, :-1], 1).sum(axis=1)
+    quotients[:, 1:] -= 10 * quotients[:, :-1]
+    numbers = np.empty((len(cumulative), width + 4), np.uint8)
+    numbers[:, :width] = quotients + ord("0")
+    numbers[:, width:] = _FRACTION_TEXT[fraction]
+    tail_text, tail_starts, tail_lengths = tails
+    starts = np.empty((len(cumulative), 2), np.intp)
+    lengths = np.empty_like(starts)
+    starts[:, 0] = np.arange(width, numbers.size, width + 4) - whole_digits
+    starts[:, 1] = tail_starts[member] + numbers.size
+    lengths[:, 0] = whole_digits + _FRACTION_LENGTHS[fraction]
+    lengths[:, 1] = tail_lengths[member]
+    text = _gather(np.concatenate([numbers.ravel(), tail_text]), starts.ravel(), lengths.ravel())
+    return text, (lengths[:, 0] + lengths[:, 1]).cumsum()
+
+
+def plot_tsv_bytes(schedules: Sequence[Schedule]) -> Iterator[bytes]:
+    """UTF-8 plot TSV of each of ``schedules``, all of one instance, in order.
+
+    Chunks of schedules are turned into columns in one array pass
+    (:func:`_plot_columns`) and into text in another (:func:`_rows`).
+    Each expanded job's row ends in a precomputed tail: a tab, its job's
+    temperature, color and its id, tab-separated, and a newline.  Each
+    distinct job temperature is formatted once.
+    """
+    if not schedules:
+        return
+    instance = schedules[0].instance
+    members = _members(instance)
+    labels = {t: format_temperature(t) for t in {job.temperature for job, _ in members}}
+    tails = _segments(
+        [f"\t{labels[job.temperature]}\t{job.color}\t{job_id}\n".encode() for job, job_id in members]
+    )
+    rows = len(members)
+    orders = [schedule.order for schedule in schedules]
+    for cumulative, member in _plot_columns(instance, orders, max(1, _CHUNK_ROWS // rows)):
+        text, row_ends = _rows(cumulative, member, tails)
+        ends = row_ends[rows - 1 :: rows].tolist()
+        for begin, end in zip([0, *ends], ends):
+            yield _PLOT_HEADER + text[begin:end].tobytes()
+
+
+def plot_tsv(schedule: Schedule) -> str:
+    """Plot TSV text of ``schedule``, one line per expanded job."""
+    return next(plot_tsv_bytes([schedule])).decode()
 
 
 _SVG_PALETTE = (

@@ -346,10 +346,11 @@ class SearchGraph:
         order, and ``kernel``, the running minimum that :func:`pass_plan`
         picked, takes it down the rows of ``paths`` into the grid.
 
-        A bit of ``bits[layer, c]``, packed along each grid row, is set
-        where ``paths`` equals the grid, that is, where the cell's own
-        predecessor attains its running minimum.  ``rows[layer, c]`` is the
-        grid's last row, which the exits read.
+        Bit ``row * w + col`` of ``bits[layer, c]``, packed over the grid's
+        ``w`` columns in row-major order, is set where ``paths`` equals the
+        grid, that is, where the cell's own predecessor attains its running
+        minimum.  ``rows[layer, c]`` is the grid's last row, which the exits
+        read.
 
         ``work`` is the chain's three flat grid buffers and its mask
         buffer.  The grid of ``layer`` goes into buffer ``layer % 3`` and
@@ -368,7 +369,7 @@ class SearchGraph:
         np.add(prev.T[:h, :w], dp["into"][c][a:, b:], out=paths)
         kernel(paths, grid, spare)
         np.equal(paths, grid, out=mask)
-        dp["bits"][layer, c] = np.packbits(mask, axis=1, bitorder="little")
+        dp["bits"][layer, c] = np.packbits(mask.reshape(-1), bitorder="little")
         dp["rows"][layer, c] = grid[-1].copy()
         return grid
 
@@ -485,13 +486,13 @@ class SearchGraph:
         c, x, y = o, n[o] - 1, a
         for layer in range(top, 1, -1):
             lo_x, lo_y = _band(layer)
-            bits = self._dp["bits"][layer, c]
-            byte, shift = divmod(y - lo_y, 8)
-            row = x - lo_x
-            while row >= 0 and not bits.item(row, byte) >> shift & 1:
-                row -= 1
-            if row < 0:
+            bits, w = self._dp["bits"][layer, c], n[1 - c] - lo_y
+            bit = (x - lo_x) * w + y - lo_y
+            while bit >= 0 and not bits.item(bit >> 3) >> (bit & 7) & 1:
+                bit -= w
+            if bit < 0:
                 raise AssertionError(f"no decision bit set on color-{c} grid")
+            row = bit // w
             runs.append((c, lo_x + row, x))
             c, x, y = 1 - c, y, lo_x + row - 1
         # Layer 1: c's block starts at its first job, after an entry block.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import re
@@ -22,7 +23,8 @@ from calsched import (
 )
 from calsched import brute_force_optimal, cli, formats, oracle, solver
 from calsched.cli import EXIT_INTERNAL, main
-from calsched.formats import detect_format, plot_svg, plot_tsv
+from calsched.core import MAGNITUDE_LIMIT
+from calsched.formats import detect_format, plot_svg, plot_tsv, plot_tsv_bytes
 from conftest import TEN_JOB_THREE_COLOR, job_records, make_two_color, two_color_instances
 
 
@@ -150,17 +152,47 @@ class TestPlot:
         # Eighths give fractional temperatures; few values, so duplicates merge.
         records = data.draw(job_records(max_colors=3, max_jobs=9, max_temp=12))
         instance = build_instance([(i, t / 8, c) for i, t, c in records])
-        schedule = Schedule.from_jobs(instance, data.draw(st.permutations(instance.jobs)))
-        rows = emit_plot(schedule)
-        assert len(rows) == instance.total_jobs
-        expected = [
-            f"{format_temperature(r.cumulative)}\t{format_temperature(r.temperature)}\t{r.color}\t{r.job_id}"
-            for r in rows
+        schedules = [
+            Schedule.from_jobs(instance, data.draw(st.permutations(instance.jobs))) for _ in range(3)
         ]
-        labels = {}
-        for _ in range(2):  # a fresh label cache, then a filled one
-            lines = plot_tsv(schedule, labels).splitlines()
-            assert lines == ["cumulative_T\ttemperature\tcolor\tid", *expected]
+        for schedule, text in zip(schedules, plot_tsv_bytes(schedules)):
+            expected, total = [], 0
+            for before, job in zip((None, *schedule.jobs), schedule.jobs):
+                total += 0 if before is None else abs(job.temperature - before.temperature)
+                expected += [(total, job.temperature, job.color, member) for member in job.members]
+            rows = emit_plot(schedule)
+            assert [(r.cumulative, r.temperature, r.color, r.job_id) for r in rows] == expected
+            lines = [
+                f"{format_temperature(x)}\t{format_temperature(t)}\t{c}\t{i}" for x, t, c, i in expected
+            ]
+            assert plot_tsv(schedule).splitlines() == ["cumulative_T\ttemperature\tcolor\tid", *lines]
+            assert text == plot_tsv(schedule).encode()
+
+    @pytest.mark.parametrize("chunk_rows", [1, 5, 7, 40])
+    def test_chunks_do_not_change_the_bytes(self, monkeypatch, chunk_rows):
+        rng = random.Random(chunk_rows)
+        instance = build_instance([(f"j{i}", rng.randint(0, 9) / 4, i % 2) for i in range(12)])
+        assert len(instance.jobs) < instance.total_jobs
+        schedules = [Schedule.from_jobs(instance, rng.sample(instance.jobs, len(instance.jobs))) for _ in range(9)]
+        whole = [plot_tsv(schedule).encode() for schedule in schedules]
+        monkeypatch.setattr(formats, "_CHUNK_ROWS", chunk_rows)
+        assert list(plot_tsv_bytes(schedules)) == whole
+        assert list(plot_tsv_bytes([])) == []
+
+    def test_cumulative_text_is_format_temperature(self):
+        # Every fraction with whole parts of 1 to 7 digits, in one plot that
+        # climbs from 0, so each cumulative value is the job's temperature.
+        scaled = [whole * 1000 + fraction for whole in (0, 1, 9, 10, 999, 10**6) for fraction in range(1000)]
+        instance = build_instance([(f"j{t}", format_temperature(t), 0) for t in scaled])
+        schedule = Schedule.from_jobs(instance, instance.sorted_jobs(0))
+        lines = plot_tsv(schedule).splitlines()[1:]
+        assert [line.split("\t")[:2] for line in lines] == [[format_temperature(t)] * 2 for t in scaled]
+        # The widest whole part the magnitude bound admits.
+        hot = MAGNITUDE_LIMIT // 2 // 1000 * 1000 + 5
+        pair = build_instance([("a", 0, 0), ("b", format_temperature(hot), 1)])
+        lines = plot_tsv(Schedule(instance=pair, order=("a", "b"))).splitlines()
+        assert lines[-1] == f"{format_temperature(hot)}\t{format_temperature(hot)}\t1\tb"
+        assert len(format_temperature(hot).split(".")[0]) == 15
 
 
 class TestGenerator:
@@ -355,9 +387,9 @@ class TestCli:
         path = tmp_path / "jobs.csv"
         path.write_text(serialize_instance(instance, "csv"), encoding="utf-8")
         formatted, labelled = [], []
-        real_tsv = cli.plot_tsv
+        real_bytes = cli.plot_tsv_bytes
         monkeypatch.setattr(
-            cli, "plot_tsv", lambda s, labels: formatted.append(s.order) or real_tsv(s, labels)
+            cli, "plot_tsv_bytes", lambda s: formatted.extend(x.order for x in s) or real_bytes(s)
         )
         monkeypatch.setattr(
             formats, "format_temperature", lambda v: labelled.append(v) or format_temperature(v)
@@ -374,18 +406,16 @@ class TestCli:
         distinct = {schedule.order for schedule in schedules}
         assert sorted(formatted) == sorted(distinct)
         assert len(distinct) < len(budgets) == len(list(plots.iterdir()))
-        # Each job temperature is formatted once in all, each cumulative once per row.
-        rows = [row for s in {s.order: s for s in schedules}.values() for row in emit_plot(s)]
-        temperatures = {row.temperature for row in rows}
-        assert len(labelled) == len(temperatures) + len(rows)
-        assert temperatures <= set(labelled)
+        # At most one call per distinct job temperature, and none per row.
+        assert len(labelled) == len(set(labelled))
+        assert set(labelled) <= {job.temperature for job in instance.jobs}
         for k, schedule in zip(budgets, schedules):
-            written = (plots / f"pareto_k{k}.tsv").read_text(encoding="utf-8")
+            written = (plots / f"pareto_k{k}.tsv").read_bytes()
             lines = [
                 f"{format_temperature(r.cumulative)}\t{format_temperature(r.temperature)}\t{r.color}\t{r.job_id}\n"
                 for r in emit_plot(schedule)
             ]
-            assert written == "".join(["cumulative_T\ttemperature\tcolor\tid\n", *lines])
+            assert written == "".join(["cumulative_T\ttemperature\tcolor\tid\n", *lines]).encode()
 
     def test_failed_self_check_is_an_internal_error(self, instance_file, capsys, monkeypatch):
         def broken(self, budget):
@@ -440,6 +470,34 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and "invalid id" in err
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_non_utf8_input_names_the_byte(self, instance_file, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"w1,1,0\nw2,4,0\nb1,2,1\nb\xff,3,1\n")
+        extra = {"solve": ["--max-color-changes", "1"], "sweep": [], "verify": ["--schedule", str(instance_file)]}
+        assert main([command, "--input", str(path), *extra[command]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: not UTF-8: byte 0xff at offset 22\n"
+
+    def test_non_utf8_schedule_names_the_byte(self, instance_file, tmp_path, capsys):
+        path = tmp_path / "schedule.json"
+        path.write_bytes(b'["w1", "w2", "b1", "b2\xc3"]')
+        assert main(["verify", "--input", str(instance_file), "--schedule", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {path}: not UTF-8: byte 0xc3 at offset 22\n"
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_deeply_nested_json_is_a_validation_error(self, instance_file, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        if command == "verify":
+            argv = ["verify", "--input", str(instance_file), "--schedule", str(deep)]
+        else:
+            argv = [command, "--input", str(deep), *(["--max-color-changes", "1"] * (command == "solve"))]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: invalid JSON: nested too deeply\n"
+
     @pytest.mark.parametrize(
         "claim, code",
         [
@@ -473,3 +531,54 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["matches_claimed"] is True
         assert report["canonical"] is True
+
+
+PLOT_GOLDEN_COUNT = 40
+# Recorded before plot text was built from numpy columns; any change to a
+# plot byte, a file name or the printed result changes it.
+PLOT_GOLDEN_DIGEST = "e42c7a4c651128f69b4798462218218607b8a28b7264a4f833e8ab20930d588a"
+
+
+def golden_plot_csvs(count, seed=1609):
+    """CSV texts of seeded instances: three in four have two colors, the
+    rest three.  Temperatures are few multiples of a step in thousandths,
+    so optima tie, the curve has flats and equal temperatures merge; the
+    steps give whole, eighth and odd fractions, and every eighth instance
+    sits near a million degrees."""
+    rng = random.Random(seed)
+    for index in range(count):
+        colors = 3 if index % 4 == 3 else 2
+        n = rng.randint(4, 9) if colors == 3 else rng.randint(2, 24)
+        step = rng.choice((1000, 500, 125, 37, 1))
+        base = 999_000_000 if index % 8 == 5 else rng.choice((0, 7))
+        lines = []
+        for i in range(n):
+            milli = base + step * rng.randint(0, rng.choice((3, 6, n)))
+            lines.append(f"j{i},{milli // 1000}.{milli % 1000:03d},{i % colors}\n")
+        yield "".join(lines)
+
+
+def test_plot_golden_digest(tmp_path, capsys):
+    sha = hashlib.sha256()
+    flats = 0
+    for index, text in enumerate(golden_plot_csvs(PLOT_GOLDEN_COUNT)):
+        work = tmp_path / f"i{index}"
+        work.mkdir()
+        path = work / "jobs.csv"
+        path.write_text(text, encoding="utf-8")
+        runs = [["sweep", "--emit-plot-dir", str(work / "plots")]]
+        runs += [
+            ["solve", "--max-color-changes", str(k), "--emit-plot", str(work / f"k{k}.{suffix}")]
+            for k, suffix in ((0, "tsv"), (1, "tsv"), (3, "tsv"), (2, "svg"))
+        ]
+        for command, *extra in runs:
+            code = main([command, "--input", str(path), *extra])
+            sha.update(f"{command} {code}\n".encode() + capsys.readouterr().out.encode())
+        for file in sorted(work.rglob("*")):
+            if file.is_file() and file != path:
+                sha.update(file.relative_to(work).as_posix().encode() + b"\0" + file.read_bytes())
+        plots = [file.read_bytes() for file in (work / "plots").iterdir()]
+        flats += len(set(plots)) < len(plots)
+    # Budgets that share an optimum must be common, so merged plots are pinned.
+    assert flats >= PLOT_GOLDEN_COUNT // 2, flats
+    assert sha.hexdigest() == PLOT_GOLDEN_DIGEST
