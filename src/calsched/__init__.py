@@ -3,10 +3,11 @@
 Minimize the total process-temperature change of a job sequence subject
 to a cap on adjacent color changes.  The package provides the domain
 model and metrics (:mod:`calsched.core`), improvement rewrites and the
-canonical form (:mod:`calsched.transforms`), a polynomial exact solver
-for two colors (:mod:`calsched.solver`), an exhaustive reference solver
-for small instances with any number of colors (:mod:`calsched.oracle`),
-and file formats plus a CLI (:mod:`calsched.formats`,
+canonical form (:mod:`calsched.transforms`), an exact solver for any
+number of colors (:mod:`calsched.solver`: a polynomial search graph for
+two colors, and for three or more the exhaustive subset DP of
+:mod:`calsched.oracle`, which also certifies the graph on small
+instances), and file formats plus a CLI (:mod:`calsched.formats`,
 :mod:`calsched.cli`).
 """
 
@@ -15,6 +16,7 @@ from .core import (
     Instance,
     Job,
     Schedule,
+    SolveResult,
     ValidationError,
     build_instance,
     color_changes,
@@ -40,7 +42,6 @@ from .oracle import (
 )
 from .solver import (
     SearchGraph,
-    SolveResult,
     build_search_graph,
     pareto_sweep,
     shortest_schedule,

@@ -18,8 +18,8 @@ from pathlib import Path
 from .core import (
     Instance,
     Schedule,
+    SolveResult,
     ValidationError,
-    color_changes,
     format_temperature,
     parse_temperature,
 )
@@ -35,9 +35,8 @@ from .formats import (
     serialize_instance,
     verify_schedule,
 )
-from .oracle import OracleResult, OracleSizeError, brute_force_optimal
-from .oracle import pareto_front as oracle_front
-from .solver import SolveResult, pareto_front, shortest_schedule
+from .oracle import OracleSizeError, brute_force_optimal
+from .solver import pareto_front, shortest_schedule
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -92,31 +91,21 @@ def _write_plot(schedule: Schedule, path: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _solve_multicolor(outcome: OracleResult) -> SolveResult:
-    """The answer for three or more colors: the oracle's first optimum."""
-    if not outcome.feasible:
-        return SolveResult(None, None, None, False)
-    schedule = outcome.optimal_schedules[0]
-    return SolveResult(schedule, outcome.optimal_total_change, color_changes(schedule), True)
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input, args.format)
     budget = args.max_color_changes
-    if len(instance.colors) > 2:
-        # The oracle is the solver here; checking it against itself proves nothing.
-        result = _solve_multicolor(brute_force_optimal(instance, budget))
-    else:
-        result = shortest_schedule(instance, budget)
-        if result.feasible and args.oracle_check:
-            reference = brute_force_optimal(instance, budget)
-            if reference.optimal_total_change != result.total_change:
-                print(
-                    f"oracle mismatch: solver {result.total_change}, "
-                    f"oracle {reference.optimal_total_change}",
-                    file=sys.stderr,
-                )
-                return EXIT_INVALID
+    result = shortest_schedule(instance, budget)
+    # Above two colors the oracle is the solver; checking it against itself
+    # proves nothing.
+    if result.feasible and args.oracle_check and len(instance.colors) <= 2:
+        reference = brute_force_optimal(instance, budget)
+        if reference.optimal_total_change != result.total_change:
+            print(
+                f"oracle mismatch: solver {result.total_change}, "
+                f"oracle {reference.optimal_total_change}",
+                file=sys.stderr,
+            )
+            return EXIT_INVALID
     if args.emit_plot and result.schedule is not None:
         _write_plot(result.schedule, args.emit_plot)
     print(json.dumps(_result_document(result), indent=2))
@@ -132,13 +121,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input, args.format)
-    if len(instance.colors) > 2:
-        table, oracle_solve = oracle_front(instance)
-
-        def solve(budgets: list[int]) -> list[SolveResult]:
-            return [_solve_multicolor(oracle_solve(k)) for k in budgets]
-    else:
-        table, solve = pareto_front(instance)
+    table, solve = pareto_front(instance)
     # The top budget is always feasible; every table ends at its optimum.
     plotted = [k for k, value in table if value is not None] if args.emit_plot_dir else []
     result, *plot_results = solve([table[-1][0], *plotted])

@@ -1,4 +1,5 @@
-"""Domain model: jobs, instances, schedules, blocks, and the two cost metrics.
+"""Domain model: jobs, instances, schedules, solve results, blocks, and the
+two cost metrics.
 
 A job is a pair (process temperature, color).  Temperatures are stored as
 fixed-point integers scaled by ``SCALE`` (three decimal digits), so every
@@ -15,7 +16,7 @@ the graph solver rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, Inexact, InvalidOperation
 from typing import Iterable, Sequence
 
 SCALE = 1000
@@ -31,6 +32,11 @@ MAGNITUDE_LIMIT = 1 << 59
 # solver's exits and distances, and the exhaustive solver's table when it
 # cannot be int32 (see ``oracle.table_dtype``).
 INF = 1 << 61
+
+# Scaling under this context raises Inexact where the default one would
+# round digits away: 1.0000000000000000000000000000001 to 1, 1e-1000000000
+# to 0.
+_EXACT = Context(traps=[Inexact])
 
 
 class ValidationError(ValueError):
@@ -56,8 +62,16 @@ def parse_temperature(value: object) -> int:
         raise ValidationError(f"invalid temperature: {value!r}")
     if dec < 0:
         raise ValidationError(f"temperature must be nonnegative, got {value!r}")
-    scaled = dec.scaleb(3)
-    if scaled != scaled.to_integral_value():
+    # No instance admits a temperature past the bound even unscaled; checked
+    # first, since scaling 1e1000000 overflows the decimal context.
+    if dec > MAGNITUDE_LIMIT:
+        raise ValidationError(f"temperature {dec:.6g} too large: above {MAGNITUDE_LIMIT}")
+    try:
+        scaled = dec.scaleb(3, _EXACT)
+        exact = scaled == scaled.to_integral_value()
+    except Inexact:  # a nonzero digit rounded away, far past the third decimal
+        exact = False
+    if not exact:
         raise ValidationError(
             f"temperature {value!r} has more than 3 decimal places"
         )
@@ -240,6 +254,17 @@ class Schedule:
 
     def reversed(self) -> "Schedule":
         return Schedule(instance=self.instance, order=tuple(reversed(self.order)))
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    """Outcome of a capped solve by either exact solver; every other field
+    is ``None`` when not ``feasible``."""
+
+    schedule: Schedule | None
+    total_change: int | None
+    changes: int | None
+    feasible: bool
 
 
 @dataclass(frozen=True)

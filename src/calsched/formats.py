@@ -76,17 +76,20 @@ def _parse_csv(text: str) -> Instance:
     records = []
     line_nos = []
     reader = csv.reader(io.StringIO(text))
-    for line_no, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if line_no == 1 and _is_header(row):
-            continue
-        if len(row) != 3:
-            raise ValidationError(
-                f"line {line_no}: expected 3 fields (id,temperature,color), got {len(row)}"
-            )
-        records.append((row[0].strip(), row[1].strip(), row[2].strip()))
-        line_nos.append(line_no)
+    try:
+        for line_no, row in enumerate(reader, start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if line_no == 1 and _is_header(row):
+                continue
+            if len(row) != 3:
+                raise ValidationError(
+                    f"line {line_no}: expected 3 fields (id,temperature,color), got {len(row)}"
+                )
+            records.append((row[0].strip(), row[1].strip(), row[2].strip()))
+            line_nos.append(line_no)
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise ValidationError(f"line {reader.line_num}: {exc}") from None
     try:
         return build_instance(records)
     except ValidationError:
@@ -101,11 +104,11 @@ def _parse_csv(text: str) -> Instance:
 
 
 def parse_json(text: str) -> object:
-    """``json.loads``, with malformed or too deeply nested JSON as a
-    ValidationError."""
+    """``json.loads``, with malformed or too deeply nested JSON, or an
+    integer too long for ``int``, as a ValidationError."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError is one
         raise ValidationError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError("invalid JSON: nested too deeply") from None

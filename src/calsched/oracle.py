@@ -1,9 +1,14 @@
-"""Exhaustive reference solver for small instances (any number of colors).
+"""Exhaustive exact solver for small instances (any number of colors).
 
 A dynamic program over (consumed subset, last job, color changes used),
-exact for the capped problem.  It certifies the polynomial graph solver and
-explores instances with three or more colors, where no polynomial algorithm
-is known.
+exact for the capped problem.  With three or more colors no polynomial
+algorithm is known, so :func:`calsched.solver.shortest_schedule` and
+:func:`calsched.solver.pareto_front` hand such instances to
+:func:`shortest_schedule` and :func:`pareto_front` here.  Both answer in
+the graph solver's shape, a :class:`~calsched.core.SolveResult` holding the
+lexicographically first optimum.  :func:`brute_force_optimal` returns an
+:class:`OracleResult` with every optimum up to a cap; on two colors it
+certifies the graph solver.
 
 The subset DP is ``D[mask, last, k]``: the least total change over
 orderings of the jobs in ``mask`` that end at ``last`` with exactly ``k``
@@ -40,7 +45,8 @@ pay.
 Optimal schedules are read back from the table in lexicographic order of
 their job indices (the instance's merged job order), so a result truncated
 at ``schedule_cap`` holds the first ``schedule_cap`` optima in that order,
-whatever the table's width.
+whatever the table's width.  A :class:`~calsched.core.SolveResult` reads
+only the first, so its search runs with ``schedule_cap=1``.
 """
 
 from __future__ import annotations
@@ -48,12 +54,19 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .core import INF, Instance, Schedule, max_merged_color_changes, pareto_table
+from .core import (
+    INF,
+    Instance,
+    Schedule,
+    SolveResult,
+    color_changes,
+    max_merged_color_changes,
+    pareto_table,
+)
 
 DEFAULT_MAX_JOBS = 16
 DEFAULT_SCHEDULE_CAP = 64
@@ -366,6 +379,18 @@ def _solve(
     )
 
 
+def _first_optimum(
+    instance: Instance, built: tuple[RankedTable, int] | None, max_color_changes: int
+) -> SolveResult:
+    """:func:`_solve`'s answer as a :class:`~calsched.core.SolveResult`:
+    the lexicographically first optimal schedule, searched for alone."""
+    outcome = _solve(instance, 1, built, max_color_changes)
+    if not outcome.feasible:
+        return SolveResult(None, None, None, False)
+    schedule = outcome.optimal_schedules[0]
+    return SolveResult(schedule, outcome.optimal_total_change, color_changes(schedule), True)
+
+
 def brute_force_optimal(
     instance: Instance,
     max_color_changes: int,
@@ -385,13 +410,25 @@ def brute_force_optimal(
     return _solve(instance, schedule_cap, None, max_color_changes)
 
 
+def shortest_schedule(instance: Instance, max_color_changes: int) -> SolveResult:
+    """The first of ``brute_force_optimal(instance, max_color_changes)``'s
+    optimal schedules, from a table built at the budget.
+
+    Refuses instances above :func:`oracle_job_limit` with
+    :class:`OracleSizeError`, whatever the budget.
+    """
+    _check_size(instance)
+    return _first_optimum(instance, None, max_color_changes)
+
+
 def pareto_front(
     instance: Instance,
-) -> tuple[list[tuple[int, int | None]], Callable[[int], OracleResult]]:
-    """The :func:`enumerate_pareto` table and a solve for any budget.
+) -> tuple[list[tuple[int, int | None]], Callable[[Iterable[int]], list[SolveResult]]]:
+    """The :func:`enumerate_pareto` table and a batch solve for any budgets.
 
-    Both read one subset-DP table built at the merged maximum; the solve
-    returns what ``brute_force_optimal(instance, k)`` returns.
+    Both read one subset-DP table built at the merged maximum.  The solve
+    takes a sequence of budgets, infeasible ones included, and returns
+    what :func:`shortest_schedule` returns for each.
     """
     _check_size(instance)
     temps, colors, _ = _prepare(instance)
@@ -399,7 +436,11 @@ def pareto_front(
     table, sentinel = built
     exact = table.at((1 << len(temps)) - 1).min(axis=1).tolist()
     front = pareto_table(instance, [None if v >= sentinel else v for v in exact])
-    return front, partial(_solve, instance, DEFAULT_SCHEDULE_CAP, built)
+
+    def solve_many(budgets: Iterable[int]) -> list[SolveResult]:
+        return [_first_optimum(instance, built, k) for k in budgets]
+
+    return front, solve_many
 
 
 def enumerate_pareto(instance: Instance) -> list[tuple[int, int | None]]:

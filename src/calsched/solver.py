@@ -1,4 +1,11 @@
-"""Exact two-color solver via shortest paths in a layered grid graph.
+"""Exact solver: shortest paths in a layered grid graph for two colors.
+
+:func:`shortest_schedule` and :func:`pareto_front` serve every color
+count, and this module alone decides which exact method runs: one color
+is its sorted order, two colors take the search graph below, and three or
+more go to the exhaustive subset DP of :mod:`calsched.oracle`, the only
+exact method known there.  Every answer is a
+:class:`~calsched.core.SolveResult`.
 
 Canonical-form schedules consume each color's temperature-sorted job list
 as a sequence of consecutive runs taken in order, alternating colors.
@@ -91,11 +98,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import oracle
 from .core import (
     INF,
     Instance,
     Job,
     Schedule,
+    SolveResult,
     ValidationError,
     color_changes,
     max_merged_color_changes,
@@ -108,17 +117,6 @@ _PAIRS = ((0, 1), (1, 0))  # (c, o): each color, then the other one
 
 # A running minimum down the rows: (values, out, spare), all of one shape.
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of a capped solve; every other field is ``None`` when not
-    ``feasible``."""
-
-    schedule: Schedule | None
-    total_change: int | None
-    changes: int | None
-    feasible: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,9 +177,9 @@ class SearchGraph:
         (index 0 unused), and ``best[k]`` the best ``(value, changes)``
         with at most ``k`` changes; the number of layers priced is
         ``len(tau) - 2``.  ``t_grid`` holds ``t`` in the grid dtype, for the
-        ``into`` weights that :meth:`_plan` builds before the first grid is
-        relaxed, and ``cpus`` the number of CPUs this process may run on,
-        read once for :func:`pass_plan`.
+        ``into`` weights that :meth:`_plan` builds, with ``work``, before
+        the first grid is relaxed, and ``cpus`` the number of CPUs this
+        process may run on, read once for :func:`pass_plan`.
         """
         if self._dp:
             return self._dp
@@ -196,7 +194,6 @@ class SearchGraph:
         # One change: both whole colors, joined at the closest pair of ends.
         borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
         tau1 = int(entry[0][-1] + entry[1][-1]) + borders
-        size = self._n[0] * self._n[1]
         self._dp.update(
             t=t,
             entry=entry,
@@ -211,10 +208,7 @@ class SearchGraph:
             dtype=dtype,
             cpus=_usable_cpus(),
             grids=[None, None],
-            work=tuple(
-                (tuple(np.empty(size, dtype) for _ in range(3)), np.empty(size, np.bool_))
-                for _ in (0, 1)
-            ),
+            work=None,  # built by _plan
             bits={},
             rows={},
             lows=[INF, INF],
@@ -304,13 +298,18 @@ class SearchGraph:
     def _plan(self, width: int, cpus: int) -> tuple[Kernel, bool]:
         """:func:`pass_plan` for this graph.  The first time, before any
         chain runs, the calling thread also builds the ``into`` weights,
-        c's jobs down and o's jobs across, which every kernel's
-        :meth:`_relax` reads; a graph that prices no layer past the first
-        never builds them."""
+        c's jobs down and o's jobs across, and each chain's ``work``
+        buffers, which every kernel's :meth:`_relax` uses; a graph that
+        prices no layer past the first allocates neither."""
         dp = self._dp
         if dp["into"] is None:
             t = dp["t_grid"]
             dp["into"] = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
+            size, dtype = self._n[0] * self._n[1], dp["dtype"]
+            dp["work"] = tuple(
+                (tuple(np.empty(size, dtype) for _ in range(3)), np.empty(size, np.bool_))
+                for _ in (0, 1)
+            )
         return pass_plan(width, cpus)
 
     def _width(self, layer: int) -> int:
@@ -434,10 +433,6 @@ class SearchGraph:
             schedule = Schedule.from_jobs(self.instance, jobs)
             self._solved[changes] = SolveResult(schedule, value, changes, True)
         return [self._solved[changes] for _, changes in optima]
-
-    def solve(self, budget: int) -> SolveResult:
-        """Best schedule with at most ``budget`` changes (at least 1)."""
-        return self.solve_many([budget])[0]
 
     # -- schedule reconstruction ----------------------------------------
 
@@ -714,43 +709,45 @@ def build_search_graph(instance: Instance, max_color_changes: int) -> SearchGrap
     return SearchGraph(instance=instance, max_changes=cap)
 
 
-def _check_colors(instance: Instance) -> None:
-    if len(instance.colors) > 2:
-        raise ValidationError(
-            "the exact solver handles two colors; use the exhaustive oracle "
-            "for small instances with more colors"
-        )
-
-
 def shortest_schedule(instance: Instance, max_color_changes: int) -> SolveResult:
-    """Minimize total temperature change under a color-change budget.
+    """Minimize total temperature change under a color-change budget, for
+    any number of colors.
 
-    The returned schedule is in canonical form and its metrics are
+    With two colors the returned schedule is in canonical form; with three
+    or more it is the exhaustive solver's lexicographically first optimum,
+    and instances above :func:`~calsched.oracle.oracle_job_limit` merged
+    jobs raise :class:`~calsched.oracle.OracleSizeError`.  Metrics are
     recomputed from the job sequence, so the reported value always equals
     the realized one.
     """
-    _check_colors(instance)
     colors = instance.colors
+    if len(colors) > 2:
+        return oracle.shortest_schedule(instance, max_color_changes)
     if max_color_changes < len(colors) - 1:
         return SolveResult(None, None, None, False)
     if len(colors) == 1:
         jobs = instance.sorted_jobs(colors[0])
         schedule = Schedule.from_jobs(instance, jobs)
         return SolveResult(schedule, total_temperature_change(jobs), 0, True)
-    return build_search_graph(instance, max_color_changes).solve(max_color_changes)
+    return build_search_graph(instance, max_color_changes).solve_many([max_color_changes])[0]
 
 
 def pareto_front(
     instance: Instance,
 ) -> tuple[list[tuple[int, int | None]], Callable[[Iterable[int]], list[SolveResult]]]:
-    """The :func:`pareto_sweep` table and a batch solve for budgets in it.
+    """The :func:`pareto_sweep` table and a batch solve for budgets in it,
+    for any number of colors.
 
-    Both read the same single distance pass.  The solve takes a sequence
-    of budgets, each at least the first feasible one, and returns one
-    result per budget; a two-color batch reconstructs in one pass.
+    Both read the same single distance pass, or with three or more colors
+    the same subset-DP table (:func:`calsched.oracle.pareto_front`).  The
+    solve takes a sequence of budgets, each at least the first feasible
+    one, and returns one result per budget, what :func:`shortest_schedule`
+    returns for it; a two-color batch reconstructs in one pass.
     """
-    _check_colors(instance)
-    if len(instance.colors) == 1:
+    colors = instance.colors
+    if len(colors) > 2:
+        return oracle.pareto_front(instance)
+    if len(colors) == 1:
         table = pareto_table(instance, [temperature_span(instance.jobs)])
         return table, lambda budgets: [shortest_schedule(instance, k) for k in budgets]
     graph = build_search_graph(instance, max_merged_color_changes(instance))

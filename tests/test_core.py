@@ -27,15 +27,30 @@ def jobs_of(*pairs):
 class TestFixedPoint:
     @pytest.mark.parametrize(
         "raw,scaled",
-        [("1", 1000), ("2.5", 2500), ("0.125", 125), (7, 7000), ("372.004", 372004), ("0", 0)],
+        [
+            ("1", 1000), ("2.5", 2500), ("0.125", 125), (7, 7000), ("372.004", 372004), ("0", 0),
+            ("1.23400000", 1234), ("1E+2", 100000), ("0e-1000000000", 0), ("0e1000000", 0),
+        ],
     )
     def test_parse(self, raw, scaled):
         assert parse_temperature(raw) == scaled
 
-    @pytest.mark.parametrize("raw", ["-1", "0.0001", "abc", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            "-1", "0.0001", "abc", "nan", "inf",
+            # Past the context precision or exponent range of Decimal.
+            "1.0000000000000000000000000000001", "1e-1000000000", "1e1000000", "1e5000",
+        ],
+    )
     def test_parse_rejects(self, raw):
         with pytest.raises(ValidationError):
             parse_temperature(raw)
+
+    def test_parse_bound_is_the_magnitude_limit(self):
+        assert parse_temperature(MAGNITUDE_LIMIT) == MAGNITUDE_LIMIT * 1000
+        with pytest.raises(ValidationError, match="too large"):
+            parse_temperature(MAGNITUDE_LIMIT + 1)
 
     @given(st.integers(min_value=0, max_value=10**9))
     def test_format_roundtrip(self, scaled):

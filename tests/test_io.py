@@ -399,10 +399,7 @@ class TestCli:
         monkeypatch.undo()
         doc = json.loads(capsys.readouterr().out)
         budgets = [k for k, value in doc["pareto"] if value is not None]
-        if colors == 2:
-            schedules = [shortest_schedule(instance, k).schedule for k in budgets]
-        else:
-            schedules = [brute_force_optimal(instance, k).optimal_schedules[0] for k in budgets]
+        schedules = [shortest_schedule(instance, k).schedule for k in budgets]
         distinct = {schedule.order for schedule in schedules}
         assert sorted(formatted) == sorted(distinct)
         assert len(distinct) < len(budgets) == len(list(plots.iterdir()))
@@ -418,10 +415,10 @@ class TestCli:
             assert written == "".join(["cumulative_T\ttemperature\tcolor\tid\n", *lines]).encode()
 
     def test_failed_self_check_is_an_internal_error(self, instance_file, capsys, monkeypatch):
-        def broken(self, budget):
+        def broken(self, budgets):
             raise AssertionError("backtrack mismatch on color-0 grid")
 
-        monkeypatch.setattr(solver.SearchGraph, "solve", broken)
+        monkeypatch.setattr(solver.SearchGraph, "solve_many", broken)
         code = main(["solve", "--input", str(instance_file), "--max-color-changes", "2"])
         assert code == EXIT_INTERNAL == 4
         out, err = capsys.readouterr()
@@ -497,6 +494,39 @@ class TestCli:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("overflow.csv", "w1,1e1000000,0\nb1,2,1\n", "line 1: temperature 1e+1000000 too large"),
+            ("digits.csv", "w1,1,0\nb1,1e5000,1\n", "line 2: temperature 1e+5000 too large"),
+            (
+                "digits.json",
+                '[{"id": "w1", "temperature": 1' + "0" * 5000 + ', "color": 0}]',
+                "invalid JSON: ",
+            ),
+            ("wide.csv", "w1,1,0\nb1," + "1" * 200_000 + ",1\n", "line 2: field larger than field limit"),
+        ],
+        ids=["decimal-overflow", "long-integer-text", "long-json-integer", "wide-csv-field"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "sweep", "verify"])
+    def test_extreme_input_is_a_validation_error(
+        self, instance_file, tmp_path, capsys, command, name, text, message
+    ):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        extra = {"solve": ["--max-color-changes", "1"], "sweep": [], "verify": ["--schedule", str(instance_file)]}
+        assert main([command, "--input", str(path), *extra[command]]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("claimed", ['"1e1000000"', "1" + "0" * 5000])
+    def test_extreme_claimed_total_is_a_validation_error(self, instance_file, tmp_path, capsys, claimed):
+        path = tmp_path / "schedule.json"
+        path.write_text(f'{{"schedule": ["w1", "w2", "b1", "b2"], "T": {claimed}, "C": 1}}', encoding="utf-8")
+        assert main(["verify", "--input", str(instance_file), "--schedule", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "claim, code",

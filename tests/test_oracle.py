@@ -310,7 +310,7 @@ class TestTableDtype:
             rng = random.Random(2024)
             records = [(f"j{i}", rng.randint(0, 10**6) / 1000, i % 3) for i in range(16)]
             front, solve = oracle.pareto_front(build_instance(records))
-            assert len(front) == 16 and solve(front[-1][0]).feasible
+            assert len(front) == 16 and solve([front[-1][0]])[0].feasible
             """
         )
         assert peak_mb < 60, peak_mb
@@ -437,12 +437,18 @@ class TestParetoFront:
             oracle, "_subset_dp_table", lambda *a: builds.append(a) or real_table(*a)
         )
         table, solve = oracle.pareto_front(instance)
-        answers = [solve(k) for k in range(-1, len(table) + 1)]
+        budgets = list(range(-1, len(table) + 1))
+        answers = solve(budgets)
         assert len(builds) == 1
         assert table == enumerate_pareto(instance)
-        assert answers == [
-            brute_force_optimal(instance, k) for k in range(-1, len(table) + 1)
-        ]
+        assert answers == [oracle.shortest_schedule(instance, k) for k in budgets]
+        for k, answer in zip(budgets, answers):
+            reference = brute_force_optimal(instance, k)
+            assert answer.feasible == reference.feasible
+            assert answer.total_change == reference.optimal_total_change
+            if reference.feasible:
+                assert answer.schedule == reference.optimal_schedules[0]
+                assert answer.changes == color_changes(answer.schedule) <= k
 
 
 def _relabel(records, mapping):

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import itertools
+import math
 import random
 import threading
 
@@ -10,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calsched import (
+    SolveResult,
     ValidationError,
     brute_force_optimal,
     build_instance,
     build_search_graph,
     check_canonical_form,
     color_changes,
+    enumerate_pareto,
     format_temperature,
     max_feasible_color_changes,
     pareto_sweep,
@@ -215,9 +218,29 @@ class TestShortestSchedule:
         assert graph.best_under_cap(3) == (9000, 2)
         assert shortest_schedule(inst, 3).changes == 2
 
-    def test_three_colors_rejected(self):
-        with pytest.raises(ValidationError):
-            shortest_schedule(three_color_instance(), 4)
+    @pytest.mark.parametrize("colors,seed", [(3, 0), (3, 1), (4, 2)])
+    def test_more_colors_take_the_oracle_first_optimum(self, colors, seed):
+        rng = random.Random(seed)  # few distinct temperatures, so optima tie
+        records = [(f"j{i}", rng.randint(0, 6), i % colors) for i in range(3 * colors)]
+        instances = [build_instance(records)]
+        if seed == 0:
+            instances.append(three_color_instance())
+        for instance in instances:
+            assert len(instance.colors) == colors
+            table, solve = pareto_front(instance)
+            assert table == enumerate_pareto(instance) == pareto_sweep(instance)
+            budgets = list(range(-1, table[-1][0] + 1))
+            expected = []
+            for k in budgets:
+                outcome = brute_force_optimal(instance, k)
+                if outcome.feasible:
+                    first = outcome.optimal_schedules[0]
+                    expected.append(SolveResult(first, outcome.optimal_total_change, color_changes(first), True))
+                else:
+                    expected.append(SolveResult(None, None, None, False))
+            assert not expected[colors - 1].feasible and expected[colors].feasible
+            assert [shortest_schedule(instance, k) for k in budgets] == expected
+            assert solve(budgets) == expected
 
     def test_deterministic(self):
         inst = make_two_color([5, 12, 9, 30], [7, 11, 28])
@@ -409,6 +432,28 @@ class TestCheckpoints:
                 seen.append((table, batch, single, graph.layer_target_distances()))
             assert batch == single
         assert all(answers == seen[0] for answers in seen[1:])
+
+    def test_no_grid_buffers_below_the_first_relaxed_grid(self, monkeypatch):
+        # Budgets 1 and 2 read the entry grids only, so no buffer of n0 * n1
+        # cells is allocated; budget 3 relaxes one grid per color.
+        rng = random.Random(41)
+        temps = rng.sample(range(1, 1000), 70)
+        instance = make_two_color(temps[:40], temps[40:])
+        cells = 40 * 30
+        sizes = []
+        real_empty = np.empty
+
+        def recording_empty(shape, *args, **kwargs):
+            sizes.append(math.prod(np.atleast_1d(shape)))
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", recording_empty)
+        assert shortest_schedule(instance, 2).feasible
+        graph = build_search_graph(instance, 1)
+        assert graph.layer_target_distances()[0] is not None and graph.solve_many([1])[0].feasible
+        assert cells not in sizes
+        assert shortest_schedule(instance, 3).feasible
+        assert sizes.count(cells) == 8  # two chains of three grid buffers and one mask
 
     def test_reconstruction_relaxes_no_grid(self, monkeypatch):
         # Walks read only the decision bits and last rows the pass kept.
