@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import random
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
@@ -108,8 +109,11 @@ def parse_json(text: str) -> object:
     integer too long for ``int``, as a ValidationError."""
     try:
         return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError is one
+    except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON: {exc}") from None
+    except ValueError:  # int() of a number past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"invalid JSON: integer with more than {limit:,} digits") from None
     except RecursionError:
         raise ValidationError("invalid JSON: nested too deeply") from None
 
@@ -317,6 +321,8 @@ _SVG_PALETTE = (
 
 def plot_svg(rows: list[PlotRow], width: int = 800, height: int = 400) -> str:
     """Minimal standalone SVG rendering of a plot series."""
+    from html import escape  # imported here: it takes about 2 ms, which no other output needs
+
     pad = 40
     xs = [row.cumulative for row in rows]
     ys = [row.temperature for row in rows]
@@ -340,7 +346,7 @@ def plot_svg(rows: list[PlotRow], width: int = 800, height: int = 400) -> str:
         fill = _SVG_PALETTE[row.color % len(_SVG_PALETTE)]
         parts.append(
             f'<circle cx="{px(row.cumulative):.1f}" cy="{py(row.temperature):.1f}" '
-            f'r="4" fill="{fill}"><title>{row.job_id}</title></circle>'
+            f'r="4" fill="{fill}"><title>{escape(row.job_id, quote=False)}</title></circle>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

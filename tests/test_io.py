@@ -2,6 +2,8 @@ import hashlib
 import json
 import random
 import re
+import sys
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings
@@ -328,7 +330,7 @@ class TestCli:
         builds = []
         real_build = solver.build_search_graph
         monkeypatch.setattr(
-            solver, "build_search_graph", lambda *a: builds.append(a) or real_build(*a)
+            solver, "build_search_graph", lambda *a, **kw: builds.append(a) or real_build(*a, **kw)
         )
         plots = tmp_path / "plots"
         for extra in ([], ["--emit-plot-dir", str(plots)]):
@@ -494,6 +496,29 @@ class TestCli:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: invalid JSON: nested too deeply\n"
+
+    def test_long_json_integer_names_the_digit_limit(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "digits.json"
+        path.write_text(
+            '[{"id": "w1", "temperature": 1' + "0" * (limit + 700) + ', "color": 0}]', encoding="utf-8"
+        )
+        assert main(["solve", "--input", str(path), "--max-color-changes", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: invalid JSON: integer with more than {limit:,} digits\n"
+
+    def test_svg_plot_escapes_job_ids(self, tmp_path, capsys):
+        ids = ["a&b", "c<d", 'e"f', "g>h"]
+        path = tmp_path / "ids.json"
+        path.write_text(
+            json.dumps([{"id": job_id, "temperature": t, "color": t % 2} for t, job_id in enumerate(ids, 1)]),
+            encoding="utf-8",
+        )
+        svg = tmp_path / "x.svg"
+        assert main(["solve", "--input", str(path), "--max-color-changes", "3", "--emit-plot", str(svg)]) == 0
+        capsys.readouterr()
+        titles = minidom.parse(str(svg)).getElementsByTagName("title")
+        assert sorted(title.firstChild.data for title in titles) == sorted(ids)
 
     @pytest.mark.parametrize(
         "name,text,message",

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calsched import (
@@ -341,6 +341,29 @@ class TestParetoSweep:
             # Ties go to the fewest changes: the first budget reaching the value.
             assert result.changes == next(j for j, v in table if v == value)
 
+    @given(
+        st.one_of(
+            st.integers(2, 9).flatmap(
+                lambda top: job_records(min_colors=2, max_colors=2, max_jobs=12, max_temp=top)
+            ),
+            lopsided_records(),
+        )
+    )
+    @example([("w1", 1, 0), ("w2", 2, 0), ("w3", 3, 0), ("b1", 5, 1), ("b2", 6, 1)])  # separable: 1
+    @example([("w1", 1, 0), ("b1", 1, 1), ("w2", 2, 0), ("b2", 2, 1)])  # each shared: 2
+    @example([("w1", 2, 0), ("b1", 1, 1), ("b2", 2, 1), ("b3", 3, 1)])  # shared inside one color: 2
+    @example([("w1", 1, 0), ("w2", 3, 0), ("b1", 2, 1), ("b2", 4, 1)])  # alternating: 3
+    @settings(max_examples=80, deadline=None)
+    def test_saturation_is_the_first_budget_at_the_span(self, records):
+        # Priced in full, the curve first reaches the span at the closed
+        # form: the fewest color changes of a sorted order.
+        instance = build_instance(records)
+        full = build_search_graph(instance, max_merged_color_changes(instance))
+        table = pareto_table(instance, [None, *full.layer_target_distances()])
+        span = temperature_span(instance.jobs)
+        assert full.saturation == next(k for k, value in table if value == span)
+        assert pareto_sweep(instance) == table
+
     def test_table_is_invariant_at_300_per_color(self):
         # Too large for the oracle or the explicit-graph audit.  A shift by
         # more than int32 holds still has to price int32 grids exactly;
@@ -523,6 +546,35 @@ class TestCheckpoints:
             mp.setattr(solver, "grid_dtype", lambda changes, span: np.int64)
             assert build_search_graph(instance, 4).layer_target_distances() == distances
             assert pareto_sweep(instance) == pareto_table(instance, [None, *distances])
+
+    def test_front_prices_int32_when_only_saturation_fits(self):
+        # 3+5 jobs allow 6 changes, but the curve saturates at 4: the graph
+        # of the whole budget needs int64 at span 2^27, and the front's and
+        # the solve's graphs, which stop at saturation, take int32.
+        span = 1 << 27
+        whites = [0, span // 3, span]
+        blacks = [span // 7, span // 5, span // 2 + 3, 2 * span // 3, span - 11]
+        records = [(f"w{i}", format_temperature(t), 0) for i, t in enumerate(whites)]
+        records += [(f"b{i}", format_temperature(t), 1) for i, t in enumerate(blacks)]
+        instance = build_instance(records)
+        assert max_merged_color_changes(instance) == 6
+        assert build_search_graph(instance, 1).saturation == 4
+        assert (4 + 4) * span <= 1 << 30 < (6 + 4) * span
+        picked = []
+        real_dtype = solver.grid_dtype
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(
+                solver, "grid_dtype", lambda changes, span: picked.append(real_dtype(changes, span)) or picked[-1]
+            )
+            table, solve = pareto_front(instance)
+            budgets = [k for k, value in table if value is not None]
+            answers = table, solve(budgets), [shortest_schedule(instance, k) for k in (4, 6)]
+        assert picked == [np.int32] * 3
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "grid_dtype", lambda changes, span: np.int64)
+            graph = build_search_graph(instance, 6)
+            full = pareto_table(instance, [None, *graph.layer_target_distances()])
+            assert answers == (full, graph.solve_many(budgets), graph.solve_many([4, 6]))
 
     def test_full_500_sweep_peak_memory(self):
         # The whole 500+500 curve in a fresh process; with every priced
@@ -719,10 +771,9 @@ class TestPassPlan:
         assert threading.active_count() == before
 
     def test_caller_exception_stops_the_worker(self, monkeypatch):
-        # When the caller's chain fails, the worker waits at the barrier for
-        # a layer the caller never finishes, so the caller must break the
-        # barrier before it joins.
-        # The solve runs on a thread of its own, so a hang fails the test.
+        # When the caller's chain fails, it must stop the worker before it
+        # joins.  The solve runs on a thread of its own, so a hang fails the
+        # test.
         rng = random.Random(8)
         temps = rng.sample(range(1, 1000), 40)
         instance = make_two_color(temps[:20], temps[20:])
@@ -749,6 +800,47 @@ class TestPassPlan:
         thread.join(timeout=60)
         assert not thread.is_alive()
         assert raised == ["caller chain failed"]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_failed_chain_stops_the_other_before_its_next_layer(self, monkeypatch, failing):
+        # The failing chain raises on its layer-3 grid once the other chain
+        # has reached its own, which it holds until the stop event is set.
+        # So the other chain must relax no grid past layer 3, the failure
+        # reaches the caller after the join, and no thread is left.
+        rng = random.Random(8)
+        temps = rng.sample(range(1, 1000), 40)
+        instance = make_two_color(temps[:20], temps[20:])
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: FORCED_PLANS["threaded"])
+        stops, other_layers, other_at_3 = [], [], threading.Event()
+        real_on_two_threads = solver._on_two_threads
+        monkeypatch.setattr(
+            solver,
+            "_on_two_threads",
+            lambda chain: real_on_two_threads(lambda p, stop: stops.append(stop) or chain(p, stop)),
+        )
+        real_relax = solver.SearchGraph._relax
+
+        def relax(graph, layer, *args):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            if on_worker == (failing == "worker"):
+                if layer == 3:
+                    assert other_at_3.wait(timeout=60)
+                    raise RuntimeError(f"{failing} chain failed")
+            else:
+                other_layers.append(layer)
+                if layer == 3:
+                    other_at_3.set()
+                    assert stops[0].wait(timeout=60)
+            return real_relax(graph, layer, *args)
+
+        monkeypatch.setattr(solver.SearchGraph, "_relax", relax)
+        before = threading.active_count()
+        graph = build_search_graph(instance, 10)
+        with pytest.raises(RuntimeError, match=f"{failing} chain failed"):
+            graph.layer_target_distances()
+        assert len(stops) == 2 and stops[0] is stops[1] and stops[0].is_set()
+        assert other_layers == [2, 3]
         assert threading.active_count() == before
 
     def test_threaded_solve_imports_no_concurrent_futures(self, tmp_path):
