@@ -94,7 +94,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -107,6 +107,7 @@ from .core import (
     Schedule,
     SolveResult,
     ValidationError,
+    color_changes,
     max_merged_color_changes,
     pareto_table,
     temperature_span,
@@ -126,13 +127,11 @@ class SearchGraph:
     ``max_changes`` is the clamped color-change budget (at least 1); the
     graph has ``max_changes - 1`` grid layers plus entry and exit gadgets,
     priced as far as the queries so far have needed.  ``saturation`` is
-    :func:`saturation_changes` of the instance; :func:`build_search_graph`
-    describes ``past_saturation``.
+    :func:`saturation_changes` of the instance.
     """
 
     instance: Instance
     max_changes: int
-    past_saturation: InitVar[bool] = True
     saturation: int = field(init=False)
     _jobs: tuple = field(init=False, repr=False)  # each color's sorted jobs
     _t: tuple = field(init=False, repr=False)  # each color's sorted temperatures
@@ -140,16 +139,13 @@ class SearchGraph:
     _dp: dict = field(init=False, repr=False, default_factory=dict)
     _solved: dict = field(init=False, repr=False, default_factory=dict)
 
-    def __post_init__(self, past_saturation: bool) -> None:
+    def __post_init__(self) -> None:
         jobs = tuple(self.instance.sorted_jobs(color) for color in self.instance.colors)
         t = tuple(np.array([j.temperature for j in js], dtype=np.int64) for js in jobs)
-        saturation = saturation_changes(*t)
         object.__setattr__(self, "_jobs", jobs)
         object.__setattr__(self, "_t", t)
         object.__setattr__(self, "_n", tuple(len(js) for js in jobs))
-        object.__setattr__(self, "saturation", saturation)
-        if not past_saturation:
-            object.__setattr__(self, "max_changes", min(self.max_changes, saturation))
+        object.__setattr__(self, "saturation", saturation_changes(self.instance))
 
     @property
     def n0(self) -> int:
@@ -391,7 +387,8 @@ class SearchGraph:
         and every new one comes from a single :meth:`reconstruct` call.
         The schedule's metrics are recomputed from its job sequence, over
         ``int64`` arrays of its temperatures and colors, so the reported
-        value always equals the realized one.
+        value always equals the realized one; on a mismatch, the error
+        names the core functions' recount.
         """
         optima = [self.best_under_cap(budget) for budget in budgets]
         values = {changes: value for value, changes in optima}
@@ -405,7 +402,7 @@ class SearchGraph:
             if (realized, switches) != (value, changes):
                 raise AssertionError(
                     f"reconstruction mismatch: path {value}/{changes}, "
-                    f"schedule {realized}/{switches}"
+                    f"schedule {total_temperature_change(jobs)}/{color_changes(jobs)}"
                 )
             schedule = Schedule.from_jobs(self.instance, jobs)
             self._solved[changes] = SolveResult(schedule, value, changes, True)
@@ -659,28 +656,23 @@ def _band(layer: int) -> tuple[int, int]:
     return (layer + 2) // 2 - 1, (layer + 1) // 2 - 1
 
 
-def build_search_graph(
-    instance: Instance, max_color_changes: int, *, past_saturation: bool = True
-) -> SearchGraph:
+def build_search_graph(instance: Instance, max_color_changes: int) -> SearchGraph:
     """Construct the layered graph for a two-color instance.
 
     The budget must be at least 1; it is clamped to the achievable
-    maximum before layers are laid out.  ``past_saturation=False`` clamps
-    it to the graph's ``saturation`` too, for a caller that reads no
-    exact-k value past it, so that :func:`grid_dtype` bounds only the
-    layers that caller prices.
+    maximum before layers are laid out.
     """
     if len(instance.colors) != 2:
         raise ValidationError("search graph requires exactly two colors")
     if max_color_changes < 1:
         raise ValidationError("search graph requires a budget of at least 1")
     cap = min(max_color_changes, max_merged_color_changes(instance))
-    return SearchGraph(instance, cap, past_saturation)
+    return SearchGraph(instance, cap)
 
 
-def saturation_changes(t0: np.ndarray, t1: np.ndarray) -> int:
-    """The fewest color changes of any sorted order of two colors' jobs,
-    given each color's strictly increasing temperatures.
+def saturation_changes(instance: Instance) -> int:
+    """The fewest color changes of any sorted order of a two-color
+    instance's jobs.
 
     Only a monotone schedule has a total change equal to the span, so
     this is the least change count whose optimum is the span.  The walk
@@ -691,7 +683,8 @@ def saturation_changes(t0: np.ndarray, t1: np.ndarray) -> int:
     plain Python: a numpy merge read about 0.2 MB more peak RSS in each
     forked benchmark op.
     """
-    a, b = iter(t0.tolist() + [INF]), iter(t1.tolist() + [INF])  # INF ends each
+    # INF ends each color's temperatures.
+    a, b = (iter([job.temperature for job in instance.sorted_jobs(c)] + [INF]) for c in instance.colors)
     x, y, end0, end1 = next(a), next(b), 0, 0
     while x < INF or y < INF:
         if x < y:
@@ -724,7 +717,9 @@ def shortest_schedule(instance: Instance, max_color_changes: int) -> SolveResult
         jobs = instance.sorted_jobs(colors[0])
         schedule = Schedule.from_jobs(instance, jobs)
         return SolveResult(schedule, total_temperature_change(jobs), 0, True)
-    graph = build_search_graph(instance, max_color_changes, past_saturation=False)
+    # No budget past saturation lowers the optimum, and the graph's budget
+    # bounds its grid dtype.
+    graph = build_search_graph(instance, min(max_color_changes, saturation_changes(instance)))
     return graph.solve_many([max_color_changes])[0]
 
 
@@ -747,8 +742,9 @@ def pareto_front(
         table = pareto_table(instance, [temperature_span(instance.jobs)])
         return table, lambda budgets: [shortest_schedule(instance, k) for k in budgets]
     # No change count past saturation can lower the running best, so the
-    # table needs exact values only up to it.
-    graph = build_search_graph(instance, max_merged_color_changes(instance), past_saturation=False)
+    # table needs exact values only up to it, and pareto_table carries the
+    # span on to the top budget.
+    graph = build_search_graph(instance, saturation_changes(instance))
     table = pareto_table(instance, [None, *graph.layer_target_distances()])
     return table, graph.solve_many
 

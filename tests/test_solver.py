@@ -726,9 +726,9 @@ class TestPassPlan:
             assert np.array_equal(weights, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
 
     def test_threaded_pass_relaxes_the_sequential_grids(self, monkeypatch):
-        # The chains meet after every layer, so two threads relax exactly
-        # the (layer, color) grids of one thread and stop at the first
-        # saturated layer, far below the top budget.
+        # Both thread counts price layers up to the saturation layer known
+        # before the pass, so two threads relax exactly the (layer, color)
+        # grids of one thread, far below the top budget.
         rng = random.Random(41)
         temps = rng.sample(range(1, 1000), 120)
         instance = make_two_color(temps[:60], temps[60:])

@@ -9,14 +9,12 @@ from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# Targets the CLI and the solver no longer look up; the tracer lists them
-# as missing.
+# Targets the CLI no longer looks up; the tracer lists them as missing.
 KNOWN_STALE = {
     "calsched.cli.pareto_sweep",
     "calsched.cli.enumerate_pareto",
     "calsched.cli._solve_multicolor",
     "calsched.cli.color_changes",
-    "calsched.solver.color_changes",
 }
 
 
