@@ -317,9 +317,10 @@ _SVG_PALETTE = (
     "#4c78a8", "#f58518", "#54a24b", "#e45756", "#72b7b2",
     "#b279a2", "#eeca3b", "#9d755d",
 )
+_SVG_WIDTH, _SVG_HEIGHT = 800, 400
 
 
-def plot_svg(rows: list[PlotRow], width: int = 800, height: int = 400) -> str:
+def plot_svg(rows: list[PlotRow]) -> str:
     """Minimal standalone SVG rendering of a plot series."""
     from html import escape  # imported here: it takes about 2 ms, which no other output needs
 
@@ -331,15 +332,15 @@ def plot_svg(rows: list[PlotRow], width: int = 800, height: int = 400) -> str:
     y_range = (y_hi - y_lo) or 1
 
     def px(x: int) -> float:
-        return pad + (width - 2 * pad) * x / x_hi
+        return pad + (_SVG_WIDTH - 2 * pad) * x / x_hi
 
     def py(y: int) -> float:
-        return height - pad - (height - 2 * pad) * (y - y_lo) / y_range
+        return _SVG_HEIGHT - pad - (_SVG_HEIGHT - 2 * pad) * (y - y_lo) / y_range
 
     points = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys))
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}">',
+        f'<rect width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<polyline points="{points}" fill="none" stroke="#888" stroke-width="1.5"/>',
     ]
     for row in rows:

@@ -80,7 +80,8 @@ The pass is dense numpy work, shaped six ways:
   only the color-o grid of the layer below, so the grids form two chains
   by the parity of layer + color, which share no data.  Each chain
   relaxes a run of layers on its own, on a second thread with a wide band
-  and two usable CPUs, and the run's targets are recorded after both.
+  and two usable CPUs, and returns each grid's least exit; the run's
+  targets are recorded from both chains' exits once both have returned.
   :func:`pass_plan` picks the kernel and the threads from the band width
   and the usable CPU count.
 
@@ -94,7 +95,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -120,173 +120,136 @@ _PAIRS = ((0, 1), (1, 0))  # (c, o): each color, then the other one
 Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
-@dataclass(frozen=True, eq=False)
 class SearchGraph:
     """Layered search graph for a two-color instance.
 
     ``max_changes`` is the clamped color-change budget (at least 1); the
-    graph has ``max_changes - 1`` grid layers plus entry and exit gadgets,
-    priced as far as the queries so far have needed.  ``saturation`` is
-    :func:`saturation_changes` of the instance.
+    graph has ``max_changes - 1`` grid layers plus entry and exit gadgets.
+    Construction prices layer 1, which relaxes no grid, and each query
+    prices the further layers it needs, so the state below grows as the
+    graph is queried: one graph must not be queried from two threads at
+    once, while its :class:`~calsched.core.Instance` may be shared.
+    ``saturation`` is :func:`saturation_changes` of the instance.
+
+    Below, ``c`` is either color, ``o = 1 - c`` the other, and ``_t[c]``
+    color c's sorted temperatures, shifted so that the lowest is 0.  A
+    color-c grid holds, at the node whose open block ends at c's job ``x``,
+    the distance minus ``_t[c][x]`` (the shifted frame).  Extending the
+    open block then costs nothing, so a layer's color-c grid is the
+    previous layer's color-o grid plus a fixed weight per cell, followed by
+    one running minimum along c's axis.  That weight, ``_into[c][x, y]``,
+    is the junction cost from o's job ``y`` to c's job ``x`` minus the
+    temperature difference between the old and new block ends:
+    ``2 * max(_t[o][y] - _t[c][x], 0)``.  ``_exit[c][a]`` is what a final
+    block of c's jobs ``a+1 ..`` adds to the shifted distance of the
+    color-o cell at o's last job, and ``_entry[c][y]`` is the span of a
+    first block of c's jobs ``0 .. y``.  ``_dtype`` is the
+    :func:`grid_dtype` of every band grid and buffer.
+
+    Layer ``l`` stores only its band (see :func:`_band`).  The grid of
+    layer ``l`` and color ``c`` belongs to chain ``p = (l + c) % 2``:
+    ``_grids[p]`` is the chain's newest grid, and ``_work[p]`` holds its
+    three flat grid buffers and its flat mask buffer (see :meth:`_relax`).
+    :meth:`_plan` builds ``_into`` and ``_work`` before the first grid is
+    relaxed.  ``_bits[l, c]`` and ``_rows[l, c]`` are what reconstruction
+    reads of each grid priced.  ``_tau[k]`` is the optimum with exactly
+    ``k`` changes for every ``k`` priced so far (index 0 unused), and
+    ``_best[k]`` the best ``(value, changes)`` with at most ``k`` changes;
+    the number of layers priced is ``len(_tau) - 2``.  ``_cpus`` is the
+    number of CPUs this process may run on, read once for
+    :func:`pass_plan`.
     """
 
-    instance: Instance
-    max_changes: int
-    saturation: int = field(init=False)
-    _jobs: tuple = field(init=False, repr=False)  # each color's sorted jobs
-    _t: tuple = field(init=False, repr=False)  # each color's sorted temperatures
-    _n: tuple = field(init=False, repr=False)  # (n0, n1)
-    _dp: dict = field(init=False, repr=False, default_factory=dict)
-    _solved: dict = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        jobs = tuple(self.instance.sorted_jobs(color) for color in self.instance.colors)
-        t = tuple(np.array([j.temperature for j in js], dtype=np.int64) for js in jobs)
-        object.__setattr__(self, "_jobs", jobs)
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "_n", tuple(len(js) for js in jobs))
-        object.__setattr__(self, "saturation", saturation_changes(self.instance))
-
-    @property
-    def n0(self) -> int:
-        return self._n[0]
-
-    @property
-    def n1(self) -> int:
-        return self._n[1]
+    def __init__(self, instance: Instance, max_changes: int) -> None:
+        self.instance, self.max_changes = instance, max_changes
+        self.saturation = saturation_changes(instance)
+        self._jobs = tuple(instance.sorted_jobs(color) for color in instance.colors)
+        self._n = self.n0, self.n1 = tuple(len(js) for js in self._jobs)
+        # Weights and targets depend only on temperature differences, so
+        # this shift is exact; it bounds the band values for grid_dtype.
+        t = [np.array([j.temperature for j in js], dtype=np.int64) for js in self._jobs]
+        low = min(tc[0] for tc in t)
+        self._t = t = tuple(tc - low for tc in t)
+        self._dtype = grid_dtype(max_changes, int(max(tc[-1] for tc in t)))
+        self._entry = tuple(tc - tc[0] for tc in t)
+        self._exit = tuple(
+            t[o][-1] + np.minimum(np.abs(t[c][1:] - t[o][-1]), abs(int(t[c][-1] - t[o][-1])))
+            + (t[c][-1] - t[c][1:])
+            for c, o in _PAIRS
+        )
+        self._cpus = _usable_cpus()
+        self._into = self._work = None  # built by _plan
+        self._bits = {}
+        # One change: both whole colors, joined at the closest pair of ends.
+        borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
+        tau1 = int(self._entry[0][-1] + self._entry[1][-1]) + borders
+        self._tau, self._best = [INF, tau1], [(INF, 0), (tau1, 1)]
+        # Layer 1: chain p's grid has color 1 - p and is an entry grid.
+        self._grids = [self._entry_grid(1 - p) for p in (0, 1)]
+        self._rows = {(1, 1 - p): grid[-1] for p, grid in enumerate(self._grids)}
+        self._record([self._exits(1, 0).min(initial=INF)], [self._exits(1, 1).min(initial=INF)])
 
     # -- dense distance computation ------------------------------------
 
-    def _distances(self) -> dict:
-        """Per-graph constants and the state of the distance pass.
-
-        Below, ``c`` is either color, ``o = 1 - c`` the other, and ``t[c]``
-        color c's sorted temperatures.  A color-c grid holds, at the node
-        whose open block ends at c's job ``x``, the distance minus ``t[c][x]``
-        (the shifted frame).  Extending the open block then costs nothing,
-        so a layer's color-c grid is the previous layer's color-o grid plus
-        a fixed weight per cell, followed by one running minimum along c's
-        axis.  That weight, ``into[c][x, y]``, is the junction cost from o's
-        job ``y`` to c's job ``x`` minus the temperature difference between
-        the old and new block ends: ``2 * max(t[o][y] - t[c][x], 0)``.
-        ``exit[c][a]`` is what a final block of c's jobs ``a+1 ..`` adds to
-        the shifted distance of the color-o cell at o's last job, and
-        ``entry[c][y]`` is the span of a first block of c's jobs ``0 .. y``.
-
-        Layer ``l`` stores only its band (see :func:`_band`).  The grid of
-        layer ``l`` and color ``c`` belongs to chain ``p = (l + c) % 2``:
-        ``grids[p]`` is the chain's newest grid, and ``work[p]`` holds its
-        three flat grid buffers and its flat mask buffer (see
-        :meth:`_relax`).  ``bits[l, c]`` and ``rows[l, c]`` are what
-        reconstruction reads of each grid priced, and ``lows[l, c]`` is
-        the least exit through the color-c grid of layer ``l``, kept until
-        its layer's target is recorded.  ``tau[k]`` is the optimum with exactly
-        ``k`` changes for every ``k`` priced so far (index 0 unused), and
-        ``best[k]`` the best ``(value, changes)`` with at most ``k``
-        changes; the number of layers priced is ``len(tau) - 2``.
-        ``t_grid`` holds ``t`` in the grid dtype, for the ``into`` weights
-        that :meth:`_plan` builds, with ``work``, before the first grid is
-        relaxed, and ``cpus`` the number of CPUs this process may run on,
-        read once for :func:`pass_plan`.
-        """
-        if self._dp:
-            return self._dp
-        # Weights and targets depend only on temperature differences, so
-        # this shift is exact; it bounds the band values for grid_dtype.
-        low = min(tc[0] for tc in self._t)
-        t = tuple(tc - low for tc in self._t)
-        dtype = grid_dtype(self.max_changes, int(max(tc[-1] for tc in t)))
-        entry = tuple(tc - tc[0] for tc in t)
-        # One change: both whole colors, joined at the closest pair of ends.
-        borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
-        tau1 = int(entry[0][-1] + entry[1][-1]) + borders
-        self._dp.update(
-            t=t,
-            entry=entry,
-            t_grid=tuple(tc.astype(dtype) for tc in t),
-            into=None,  # built by _plan
-            exit=tuple(
-                t[o][-1] + np.minimum(np.abs(t[c][1:] - t[o][-1]), abs(int(t[c][-1] - t[o][-1])))
-                + (t[c][-1] - t[c][1:])
-                for c, o in _PAIRS
-            ),
-            dtype=dtype,
-            cpus=_usable_cpus(),
-            grids=[None, None],
-            work=None,  # built by _plan
-            bits={},
-            rows={},
-            lows={},
-            tau=[INF, tau1],
-            best=[(INF, 0), (tau1, 1)],
-        )
-        return self._dp
-
-    def _price(self, changes: int) -> dict:
-        """Price layers until ``tau`` reaches ``changes`` changes.
+    def _price(self, changes: int) -> None:
+        """Price layers until ``_tau`` reaches ``changes`` changes.
 
         Layers are priced in runs that keep one :func:`pass_plan`, up to
-        the last layer needed; layer 1 takes the entry grids.  Each parity
-        chain relaxes the run on its own, on a thread of its own when the
-        plan says so.  Then the target of ``layer + 1`` changes, the least
-        exit of ``layer``'s two grids, is appended to ``tau`` and ``best``
-        for each layer of the run in order.
+        the last layer needed.  Each parity chain relaxes the run on its
+        own, on a thread of its own when the plan says so, and returns its
+        grids' least exits, which :meth:`_record` turns into the run's
+        targets.
         """
-        dp = self._distances()
-        tau, best, lows = dp["tau"], dp["best"], dp["lows"]
-        while len(tau) <= changes:
-            first = end = len(tau) - 1
-            kernel, threaded = None, False
-            if first > 1:
-                kernel, threaded = plan = self._plan(first)
-                while end + 1 < changes and self._plan(end + 1) == plan:
-                    end += 1
+        while len(self._tau) <= changes:
+            first = end = len(self._tau) - 1
+            kernel, threaded = plan = self._plan(first)
+            while end + 1 < changes and self._plan(end + 1) == plan:
+                end += 1
             layers = range(first, end + 1)
             if threaded:
-                _on_two_threads(lambda p, stop: self._advance(p, layers, kernel, stop))
+                lows = _on_two_threads(lambda p, stop: self._advance(p, layers, kernel, stop))
             else:
-                for p in (0, 1):
-                    self._advance(p, layers, kernel, threading.Event())
-            for layer in layers:
-                value = int(min(lows.pop((layer, 0)), lows.pop((layer, 1))))
-                tau.append(value)
-                best.append((value, len(tau) - 1) if value < best[-1][0] else best[-1])
-        return dp
+                lows = [self._advance(p, layers, kernel, threading.Event()) for p in (0, 1)]
+            self._record(*lows)
 
-    def _advance(self, p: int, layers: range, kernel: Kernel | None, stop: threading.Event) -> None:
-        """Relax chain ``p``'s grids of ``layers``, or take its entry grid
-        on layer 1, and note each grid's least exit, until ``stop`` is set.
-        Chains call nothing that ``perfbench/tracing.py`` wraps, since its
-        span stack is not thread-safe."""
-        dp = self._dp
+    def _record(self, lows0: list, lows1: list) -> None:
+        """Append to ``_tau`` and ``_best`` the target of ``layer + 1``
+        changes for each layer of a run in order: the lesser of the least
+        exits that chains 0 and 1 returned for the layer's two grids."""
+        for low0, low1 in zip(lows0, lows1):
+            value = int(min(low0, low1))
+            self._tau.append(value)
+            self._best.append((value, len(self._tau) - 1) if value < self._best[-1][0] else self._best[-1])
+
+    def _advance(self, p: int, layers: range, kernel: Kernel, stop: threading.Event) -> list:
+        """Relax chain ``p``'s grids of ``layers`` until ``stop`` is set, and
+        return each grid's least exit.  Chains call nothing that
+        ``perfbench/tracing.py`` wraps, since its span stack is not
+        thread-safe."""
+        lows = []
         for layer in layers:
             if stop.is_set():
-                return
+                break
             c = (p + layer) % 2
-            if layer == 1:
-                grid = self._entry_grid(c)
-                dp["rows"][1, c] = grid[-1]
-            else:
-                grid = self._relax(layer, c, dp["grids"][p], kernel, dp["work"][p])
-            dp["grids"][p] = grid
-            dp["lows"][layer, c] = self._exits(layer, 1 - c).min(initial=INF)
+            self._grids[p] = self._relax(layer, c, self._grids[p], kernel, self._work[p])
+            lows.append(self._exits(layer, 1 - c).min(initial=INF))
+        return lows
 
     def _plan(self, layer: int) -> tuple[Kernel, bool]:
         """:func:`pass_plan` for ``layer``'s band width.  The first time,
-        before any chain runs, the calling thread also builds the ``into``
+        before any chain runs, the calling thread also builds the ``_into``
         weights, c's jobs down and o's jobs across, and each chain's
-        ``work`` buffers, which every kernel's :meth:`_relax` uses; a graph
+        ``_work`` buffers, which every kernel's :meth:`_relax` uses; a graph
         that prices no layer past the first allocates neither."""
-        dp = self._dp
-        if dp["into"] is None:
-            t = dp["t_grid"]
-            dp["into"] = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
-            size, dtype = self._n[0] * self._n[1], dp["dtype"]
-            dp["work"] = tuple(
-                (tuple(np.empty(size, dtype) for _ in range(3)), np.empty(size, np.bool_))
+        if self._into is None:
+            t = tuple(tc.astype(self._dtype) for tc in self._t)
+            self._into = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
+            size = self._n[0] * self._n[1]
+            self._work = tuple(
+                (tuple(np.empty(size, self._dtype) for _ in range(3)), np.empty(size, np.bool_))
                 for _ in (0, 1)
             )
-        return pass_plan(min(self._n) - _band(layer)[0], dp["cpus"])
+        return pass_plan(min(self._n) - _band(layer)[0], self._cpus)
 
     def _entry_grid(self, c: int) -> np.ndarray:
         """Layer 1's color-c grid: an entry block of the other color's jobs
@@ -295,10 +258,9 @@ class SearchGraph:
         The shifted value depends only on ``y``, so every cell along c's
         axis shares it, and the grid is a broadcast view.
         """
-        o = 1 - c
-        t = self._dp["t"]
-        row = self._dp["entry"][o] + np.minimum(np.abs(t[c][0] - t[o]), abs(int(t[c][0] - t[o][0])))
-        row = (row - t[c][0]).astype(self._dp["dtype"])
+        o, t = 1 - c, self._t
+        row = self._entry[o] + np.minimum(np.abs(t[c][0] - t[o]), abs(int(t[c][0] - t[o][0])))
+        row = (row - t[c][0]).astype(self._dtype)
         return np.broadcast_to(row, (self._n[c], self._n[o]))
 
     def _relax(
@@ -311,16 +273,16 @@ class SearchGraph:
     ) -> np.ndarray:
         """``layer``'s color-c band grid (layer 2 and up) from ``prev``, the
         color-o grid of the layer below, and what reconstruction reads of
-        it: ``bits[layer, c]`` and ``rows[layer, c]``.
+        it: ``_bits[layer, c]`` and ``_rows[layer, c]``.
 
-        ``paths``, ``prev.T`` plus ``into[c]``, is added in the grid's own
+        ``paths``, ``prev.T`` plus ``_into[c]``, is added in the grid's own
         order, and ``kernel``, the running minimum that :func:`pass_plan`
         picked, takes it down the rows of ``paths`` into the grid.
 
-        Bit ``row * w + col`` of ``bits[layer, c]``, packed over the grid's
+        Bit ``row * w + col`` of ``_bits[layer, c]``, packed over the grid's
         ``w`` columns in row-major order, is set where ``paths`` equals the
         grid, that is, where the cell's own predecessor attains its running
-        minimum.  ``rows[layer, c]`` is the grid's last row, which the exits
+        minimum.  ``_rows[layer, c]`` is the grid's last row, which the exits
         read.
 
         ``work`` is the chain's three flat grid buffers and its mask
@@ -329,7 +291,6 @@ class SearchGraph:
         is layer 1's broadcast view, and is dead once ``paths`` is added,
         so the kernel may use the third buffer as its spare.
         """
-        dp = self._dp
         a, b = _band(layer)
         h, w = self._n[c] - a, self._n[1 - c] - b
         flats, mask = work
@@ -337,11 +298,11 @@ class SearchGraph:
             flat[: h * w].reshape(h, w)
             for flat in (flats[layer % 3], flats[(layer + 1) % 3], flats[(layer + 2) % 3], mask)
         )
-        np.add(prev.T[:h, :w], dp["into"][c][a:, b:], out=paths)
+        np.add(prev.T[:h, :w], self._into[c][a:, b:], out=paths)
         kernel(paths, grid, spare)
         np.equal(paths, grid, out=mask)
-        dp["bits"][layer, c] = np.packbits(mask.reshape(-1), bitorder="little")
-        dp["rows"][layer, c] = grid[-1].copy()
+        self._bits[layer, c] = np.packbits(mask.reshape(-1), bitorder="little")
+        self._rows[layer, c] = grid[-1].copy()
         return grid
 
     def _exits(self, layer: int, c: int) -> np.ndarray:
@@ -353,20 +314,18 @@ class SearchGraph:
         earlier leaves the band.
         """
         lo = _band(layer)[1]
-        row = self._dp["rows"][layer, 1 - c]
-        return row[: self._n[c] - 1 - lo] + self._dp["exit"][c][lo:]
+        row = self._rows[layer, 1 - c]
+        return row[: self._n[c] - 1 - lo] + self._exit[c][lo:]
 
-    def layer_target_distances(self, max_changes: int | None = None) -> list[int | None]:
-        """Optimal total change for exactly k changes, k = 1..``max_changes``
-        (default and upper limit: the graph's budget).
+    def layer_target_distances(self) -> list[int | None]:
+        """Optimal total change for exactly k changes, k = 1..``max_changes``.
 
         Entry k of the returned list (index k-1) is ``None`` when no
         canonical schedule uses exactly k changes.  Prices every layer the
-        range needs.
+        budget needs.
         """
-        cap = self.max_changes if max_changes is None else min(max_changes, self.max_changes)
-        tau = self._price(cap)["tau"]
-        return [None if tau[k] >= INF else tau[k] for k in range(1, cap + 1)]
+        self._price(self.max_changes)
+        return [None if value >= INF else value for value in self._tau[1 : self.max_changes + 1]]
 
     def best_under_cap(self, cap: int) -> tuple[int, int]:
         """Minimum total change with at most ``cap`` changes, and the
@@ -377,14 +336,15 @@ class SearchGraph:
         ``min(cap, saturation)`` changes need.
         """
         cap = min(cap, self.max_changes, self.saturation)
-        return self._price(cap)["best"][cap]
+        self._price(cap)
+        return self._best[cap]
 
     def solve_many(self, budgets: Iterable[int]) -> list[SolveResult]:
         """Best schedule with at most ``b`` changes for each budget ``b``
         (each at least 1), in order.
 
         Budgets whose optimum uses the same change count share one result,
-        and every new one comes from a single :meth:`reconstruct` call.
+        and all of them come from a single :meth:`reconstruct` call.
         The schedule's metrics are recomputed from its job sequence, over
         ``int64`` arrays of its temperatures and colors, so the reported
         value always equals the realized one; on a mismatch, the error
@@ -392,8 +352,8 @@ class SearchGraph:
         """
         optima = [self.best_under_cap(budget) for budget in budgets]
         values = {changes: value for value, changes in optima}
-        new = [changes for changes in values if changes not in self._solved]
-        for changes, jobs in zip(new, self.reconstruct(new) if new else []):
+        solved = {}
+        for changes, jobs in zip(values, self.reconstruct(list(values)) if values else []):
             value = values[changes]
             temps = np.fromiter([job.temperature for job in jobs], np.int64, len(jobs))
             colors = np.fromiter([job.color for job in jobs], np.int64, len(jobs))
@@ -405,13 +365,13 @@ class SearchGraph:
                     f"schedule {total_temperature_change(jobs)}/{color_changes(jobs)}"
                 )
             schedule = Schedule.from_jobs(self.instance, jobs)
-            self._solved[changes] = SolveResult(schedule, value, changes, True)
-        return [self._solved[changes] for _, changes in optima]
+            solved[changes] = SolveResult(schedule, value, changes, True)
+        return [solved[changes] for _, changes in optima]
 
     # -- schedule reconstruction ----------------------------------------
 
     def reconstruct(self, changes: Sequence[int]) -> list[list[Job]]:
-        """Rebuild a schedule realizing ``tau[k]`` for each ``k`` in
+        """Rebuild a schedule realizing ``_tau[k]`` for each ``k`` in
         ``changes``, in order.
 
         Each walk starts at the first exit of layer ``k - 1`` that meets
@@ -422,10 +382,10 @@ class SearchGraph:
         orientations break ties toward increasing order, so outputs are
         deterministic.
         """
-        dp = self._price(max(changes))
+        self._price(max(changes))
         jobs = {}
         for k in set(changes):
-            target = dp["tau"][k]
+            target = self._tau[k]
             if target >= INF:
                 raise AssertionError(f"target for {k} changes unreachable")
             jobs[k] = self._reconstruct_two_blocks(target) if k == 1 else self._walk(k - 1, target)
@@ -455,7 +415,7 @@ class SearchGraph:
         c, x, y = o, n[o] - 1, a
         for layer in range(top, 1, -1):
             lo_x, lo_y = _band(layer)
-            bits, w = self._dp["bits"][layer, c], n[1 - c] - lo_y
+            bits, w = self._bits[layer, c], n[1 - c] - lo_y
             bit = (x - lo_x) * w + y - lo_y
             while bit >= 0 and not bits.item(bit >> 3) >> (bit & 7) & 1:
                 bit -= w
@@ -614,16 +574,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _on_two_threads(chain: Callable[[int, threading.Event], None]) -> None:
+def _on_two_threads(chain: Callable[[int, threading.Event], object]) -> list:
     """Run ``chain(1, stop)`` on a new thread and ``chain(0, stop)`` on
-    this one, and re-raise here the first exception either raised, once
-    the thread has ended.  A side that fails sets ``stop``, so the other
-    ends at its next layer."""
-    stop, raised = threading.Event(), []
+    this one, and return both results in chain order, or re-raise here the
+    first exception either raised, once the thread has ended.  A side that
+    fails sets ``stop``, so the other ends at its next layer."""
+    stop, raised, results = threading.Event(), [], [None, None]
 
     def run(p: int) -> None:
         try:
-            chain(p, stop)
+            results[p] = chain(p, stop)
         except BaseException as exc:  # re-raised on the calling thread
             raised.append(exc)
             stop.set()
@@ -634,6 +594,7 @@ def _on_two_threads(chain: Callable[[int, threading.Event], None]) -> None:
     thread.join()
     if raised:
         raise raised[0]
+    return results
 
 
 def _junctions(high: np.ndarray, low: np.ndarray) -> np.ndarray:

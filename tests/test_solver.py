@@ -457,26 +457,35 @@ class TestCheckpoints:
         assert all(answers == seen[0] for answers in seen[1:])
 
     def test_no_grid_buffers_below_the_first_relaxed_grid(self, monkeypatch):
-        # Budgets 1 and 2 read the entry grids only, so no buffer of n0 * n1
+        # Construction prices layer 1 from the entry grids, which budgets 1
+        # and 2 read only, so they relax no grid and no buffer of n0 * n1
         # cells is allocated; budget 3 relaxes one grid per color.
         rng = random.Random(41)
         temps = rng.sample(range(1, 1000), 70)
         instance = make_two_color(temps[:40], temps[40:])
         cells = 40 * 30
-        sizes = []
+        sizes, relaxed = [], []
         real_empty = np.empty
+        real_relax = solver.SearchGraph._relax
 
         def recording_empty(shape, *args, **kwargs):
             sizes.append(math.prod(np.atleast_1d(shape)))
             return real_empty(shape, *args, **kwargs)
 
         monkeypatch.setattr(np, "empty", recording_empty)
+        monkeypatch.setattr(
+            solver.SearchGraph, "_relax", lambda *a, **kw: relaxed.append(a[1:3]) or real_relax(*a, **kw)
+        )
         assert shortest_schedule(instance, 2).feasible
         graph = build_search_graph(instance, 1)
         assert graph.layer_target_distances()[0] is not None and graph.solve_many([1])[0].feasible
-        assert cells not in sizes
+        graph = build_search_graph(instance, 2)
+        assert None not in graph.layer_target_distances()
+        assert all(result.feasible for result in graph.solve_many([1, 2]))
+        assert cells not in sizes and relaxed == []
         assert shortest_schedule(instance, 3).feasible
         assert sizes.count(cells) == 8  # two chains of three grid buffers and one mask
+        assert sorted(relaxed) == [(2, 0), (2, 1)]
 
     def test_reconstruction_relaxes_no_grid(self, monkeypatch):
         # Walks read only the decision bits and last rows the pass kept.
@@ -541,7 +550,7 @@ class TestCheckpoints:
         assert solver.grid_dtype(4, span) is (np.int64 if widen else np.int32)
         graph = build_search_graph(instance, 4)
         distances = graph.layer_target_distances()
-        assert graph._dp["dtype"] is solver.grid_dtype(4, span)
+        assert graph._dtype is solver.grid_dtype(4, span)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "grid_dtype", lambda changes, span: np.int64)
             assert build_search_graph(instance, 4).layer_target_distances() == distances
@@ -719,9 +728,9 @@ class TestPassPlan:
         assert relaxed and shapes == [
             (n[c] - _band(layer)[0], n[1 - c] - _band(layer)[1]) for layer, c in relaxed
         ]
-        t = graph._dp["t"]
+        t = graph._t
         for c, o in ((0, 1), (1, 0)):
-            weights = graph._dp["into"][c]
+            weights = graph._into[c]
             assert weights.flags.c_contiguous
             assert np.array_equal(weights, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
 
