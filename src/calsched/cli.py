@@ -3,17 +3,27 @@
 Subcommands: ``solve``, ``sweep``, ``gen``, ``verify``.  Results are JSON
 documents on stdout; temperatures appear as decimal strings.
 
-Exit codes: 0 success, 1 parse/validation error, 2 infeasible budget,
-3 exhaustive-search size refusal, 4 internal error (a failed self-check).
+Options come from one table, ``_COMMANDS``, and read as argparse read them:
+``--opt value`` or ``--opt=value``, the last occurrence winning, integers
+through ``int()``.  Abbreviated options are not accepted.  ``-h`` or
+``--help`` prints usage on stdout.  A usage error prints one ``error:``
+line and the command's usage line on stderr.  ``main`` returns an exit code
+for every argv; it never raises ``SystemExit``.
+
+Exit codes: 0 success or help, 1 usage, parse or validation error,
+2 infeasible budget, 3 exhaustive-search size refusal, 4 internal error
+(a failed self-check).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .core import (
     Instance,
@@ -91,7 +101,7 @@ def _write_plot(schedule: Schedule, path: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     instance = _load_instance(args.input, args.format)
     budget = args.max_color_changes
     result = shortest_schedule(instance, budget)
@@ -119,7 +129,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     instance = _load_instance(args.input, args.format)
     table, solve = pareto_front(instance)
     # The top budget is always feasible; every table ends at its optimum.
@@ -141,7 +151,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     instance = generate_instance(
         seed=args.seed, n0=args.n0, n1=args.n1, t_min=args.t_min, t_max=args.t_max
     )
@@ -154,7 +164,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     instance = _load_instance(args.input, args.format)
     payload = parse_json(_read_text(args.schedule))
     if isinstance(payload, dict):
@@ -179,50 +189,172 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="calsched",
-        description="Exact bicriteria sequencing of temperature/color jobs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Option(NamedTuple):
+    """One option of a command: the attribute it sets, the converter of its
+    value (None for a switch, which takes no value), and its rules."""
 
-    solve = sub.add_parser("solve", help="minimize total temperature change under a budget")
-    solve.add_argument("--input", required=True)
-    solve.add_argument("--max-color-changes", type=int, required=True, dest="max_color_changes")
-    solve.add_argument("--format", choices=["csv", "json"])
-    solve.add_argument("--emit-plot", dest="emit_plot")
-    solve.add_argument("--oracle-check", action="store_true", dest="oracle_check")
-    solve.set_defaults(func=_cmd_solve)
+    dest: str
+    convert: Callable[[str], object] | None = str
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    default: object = None
 
-    sweep = sub.add_parser("sweep", help="optimal value for every color-change budget")
-    sweep.add_argument("--input", required=True)
-    sweep.add_argument("--format", choices=["csv", "json"])
-    sweep.add_argument("--emit-plot-dir", dest="emit_plot_dir")
-    sweep.set_defaults(func=_cmd_sweep)
 
-    gen = sub.add_parser("gen", help="generate a random instance")
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--n0", type=int, required=True)
-    gen.add_argument("--n1", type=int, required=True)
-    gen.add_argument("--out")
-    gen.add_argument("--t-min", type=int, default=1, dest="t_min")
-    gen.add_argument("--t-max", type=int, default=1000, dest="t_max")
-    gen.set_defaults(func=_cmd_gen)
+class _Command(NamedTuple):
+    help: str
+    options: dict[str, _Option]
 
-    verify = sub.add_parser("verify", help="recompute metrics for a given schedule")
-    verify.add_argument("--input", required=True)
-    verify.add_argument("--schedule", required=True)
-    verify.add_argument("--format", choices=["csv", "json"])
-    verify.set_defaults(func=_cmd_verify)
 
-    return parser
+_FORMAT = _Option("format", choices=("csv", "json"))
+
+# Every command and its options by flag.  A command's handler is the
+# ``_cmd_`` function of its name, looked up when it runs, so a wrapper put
+# over a handler in this module's namespace is the one called.
+_COMMANDS = {
+    "solve": _Command("minimize total temperature change under a budget", {
+        "--input": _Option("input", required=True),
+        "--max-color-changes": _Option("max_color_changes", int, required=True),
+        "--format": _FORMAT,
+        "--emit-plot": _Option("emit_plot"),
+        "--oracle-check": _Option("oracle_check", None, default=False),
+    }),
+    "sweep": _Command("optimal value for every color-change budget", {
+        "--input": _Option("input", required=True),
+        "--format": _FORMAT,
+        "--emit-plot-dir": _Option("emit_plot_dir"),
+    }),
+    "gen": _Command("generate a random instance", {
+        "--seed": _Option("seed", int, required=True),
+        "--n0": _Option("n0", int, required=True),
+        "--n1": _Option("n1", int, required=True),
+        "--out": _Option("out"),
+        "--t-min": _Option("t_min", int, default=1),
+        "--t-max": _Option("t_max", int, default=1000),
+    }),
+    "verify": _Command("recompute metrics for a given schedule", {
+        "--input": _Option("input", required=True),
+        "--schedule": _Option("schedule", required=True),
+        "--format": _FORMAT,
+    }),
+}
+
+# What argparse reads as a negative number, hence as a value, and as a help
+# request: -h, --help, and -h followed by more h's, with or without an "=".
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+_HELP = re.compile(r"--help|-h(?:=?h+)?").fullmatch
+
+
+class _Usage(Exception):
+    """A help request (``error`` None) or a malformed command line; ``command``
+    is None until the command is known."""
+
+    def __init__(self, command: str | None, error: str | None = None) -> None:
+        self.command, self.error = command, error
+
+
+def _is_option(token: str, options: dict[str, _Option]) -> bool:
+    """Whether argparse would read ``token`` as an option, not as a value."""
+    if token[:1] != "-" or token == "-":
+        return False
+    name = token.partition("=")[0]
+    if name in options or name == "--help" or token.startswith("-h"):
+        return True
+    return not (_NEGATIVE_NUMBER(token) or " " in token)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and option values of ``argv``, as argparse read them:
+    ``--opt value`` or ``--opt=value``, the last occurrence winning, and a
+    missing value wherever the next token reads as an option.  Unlike
+    argparse, it accepts no abbreviated option.  Raises ``_Usage``."""
+    command: str | None = None
+    options: dict[str, _Option] = {}
+    args = SimpleNamespace()
+    extras = []  # reported after a later -h has had its chance, as argparse does
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--":  # argparse takes every later token as a value no option reads
+            extras += argv[i - 1 :]
+            break
+        if not _is_option(token, options):
+            if command is not None:
+                extras.append(token)
+            elif token in _COMMANDS:
+                command, options = token, _COMMANDS[token].options
+                args = SimpleNamespace(command=command, **{o.dest: o.default for o in options.values()})
+            else:
+                raise _Usage(None, f"invalid command {token!r} (choose from {', '.join(_COMMANDS)})")
+            continue
+        name, eq, value = token.partition("=")
+        if name == "--help" or token.startswith("-h"):
+            if _HELP(token):
+                raise _Usage(command)
+            raise _Usage(command, f"-h/--help takes no value: {token!r}")
+        option = options.get(name)
+        if option is None:
+            extras.append(token)
+            continue
+        if option.convert is None:
+            if eq:
+                raise _Usage(command, f"{name} takes no value: {token!r}")
+            value = True
+        else:
+            if not eq:
+                if i == len(argv) or _is_option(argv[i], options):
+                    raise _Usage(command, f"{name} expects a value")
+                value = argv[i]
+                i += 1
+            try:
+                value = option.convert(value)
+            except ValueError:
+                raise _Usage(command, f"{name}: not an integer: {value!r}") from None
+            if option.choices and value not in option.choices:
+                raise _Usage(command, f"{name}: {value!r} is not one of {', '.join(option.choices)}")
+        setattr(args, option.dest, value)
+    if command is None:
+        raise _Usage(None, f"a command is required (one of {', '.join(_COMMANDS)})")
+    if extras:
+        raise _Usage(command, f"unrecognized arguments: {' '.join(map(repr, extras))}")
+    missing = [flag for flag, o in options.items() if o.required and getattr(args, o.dest) is None]
+    if missing:
+        raise _Usage(command, f"required: {', '.join(missing)}")
+    return args
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: calsched [-h] {{{','.join(_COMMANDS)}}} ..."
+    words = []
+    for flag, option in _COMMANDS[command].options.items():
+        if option.convert is not None:
+            flag += " {" + ",".join(option.choices) + "}" if option.choices else " " + option.dest.upper()
+        words.append(flag if option.required else f"[{flag}]")
+    return f"usage: calsched {command} [-h] {' '.join(words)}"
+
+
+def _help(command: str | None) -> str:
+    if command is not None:
+        return f"{_usage(command)}\n\n{_COMMANDS[command].help}"
+    lines = [f"  {name:8}{spec.help}" for name, spec in _COMMANDS.items()]
+    return "\n".join([
+        _usage(None), "", "Exact bicriteria sequencing of temperature/color jobs", "", "commands:", *lines,
+        "", "calsched COMMAND -h lists the options of a command.",
+    ])
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as stop:
+        if stop.error is None:
+            print(_help(stop.command))
+            return EXIT_OK
+        print(f"error: {stop.error}\n{_usage(stop.command)}", file=sys.stderr)
+        return EXIT_INVALID
+    try:
+        return globals()[f"_cmd_{args.command}"](args)
     except OracleSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

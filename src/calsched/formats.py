@@ -31,6 +31,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    MAGNITUDE_LIMIT,
     SCALE,
     Instance,
     Job,
@@ -373,6 +374,14 @@ def generate_instance(
     if max(n0, n1) > span:
         raise ValidationError(
             f"range [{t_min}, {t_max}] too small for {max(n0, n1)} distinct temperatures"
+        )
+    # The instance check would refuse every draw: even the coolest one has
+    # n0 + n1 jobs and a hottest temperature of t_min + max(n0, n1) - 1.
+    # Refuse before drawing, which for a huge count would never end.
+    if (n0 + n1) * (t_min + max(n0, n1) - 1) * SCALE > MAGNITUDE_LIMIT:
+        raise ValidationError(
+            f"temperatures too large: {n0 + n1} jobs times a highest temperature of at "
+            f"least {t_min + max(n0, n1) - 1} exceeds {format_temperature(MAGNITUDE_LIMIT)}"
         )
     rng = random.Random(seed)
     records = []

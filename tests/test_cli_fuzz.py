@@ -1,10 +1,11 @@
-"""Random and mutated input files for the CLI: each ends in a defined exit
-code (0 done, 1 invalid, 2 infeasible, 3 too large for exhaustive search),
-never in an exception."""
+"""Random and mutated input files and command lines for the CLI: each ends
+in a defined exit code (0 done, 1 invalid, 2 infeasible, 3 too large for
+exhaustive search), never in an exception."""
 
 import contextlib
 import io
 import json
+import os
 import re
 
 import pytest
@@ -79,3 +80,62 @@ def test_cli_exits_with_a_defined_code(workdir, command, instance, schedule, bud
     elif command == "verify":
         argv += ["--schedule", str(schedule_path)]
     assert run(argv) in {0, 1, 2, 3}
+
+
+# Command lines from the CLI's own words: every command and option, an
+# option alone, with a value after it or in --opt=value form, values from
+# ordinary to extreme, and the names of valid files (the test runs inside
+# the work directory, so every relative name a command writes lands there).
+COMMANDS = ["solve", "sweep", "gen", "verify"]
+OPTIONS = [
+    "--input", "--max-color-changes", "--format", "--emit-plot", "--oracle-check",
+    "--emit-plot-dir", "--seed", "--n0", "--n1", "--out", "--t-min", "--t-max",
+    "--schedule", "-h", "--help",
+]
+ARG_VALUES = ["", "-1", "+7", "1_0", "٣", "9" * 40, "--input", "csv", "in.csv", "in.json", "schedule.json"]
+PIECES = st.one_of(
+    st.sampled_from(COMMANDS).map(lambda command: [command]),
+    st.sampled_from(OPTIONS).map(lambda option: [option]),
+    st.sampled_from(ARG_VALUES).map(lambda value: [value]),
+    st.builds(lambda option, value: [option, value], st.sampled_from(OPTIONS), st.sampled_from(ARG_VALUES)),
+    st.builds(lambda option, value: [f"{option}={value}"], st.sampled_from(OPTIONS), st.sampled_from(ARG_VALUES)),
+)
+REQUIRED = {
+    "solve": ("--input", "--max-color-changes"), "sweep": ("--input",),
+    "gen": ("--seed", "--n0", "--n1"), "verify": ("--input", "--schedule"),
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command and a value for each of its required options among random
+    pieces, in random order; or random pieces alone."""
+    pieces = draw(st.lists(PIECES, max_size=4))
+    command = draw(st.sampled_from([*COMMANDS, None]))
+    if command is None:
+        return [token for piece in pieces for token in piece]
+    pieces += [[option, draw(st.sampled_from(ARG_VALUES))] for option in REQUIRED[command]]
+    return [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@contextlib.contextmanager
+def inside(path):
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_any_argv_exits_with_a_defined_code(workdir, argv):
+    with inside(workdir):
+        for name, data in (("in.csv", VALID_CSV), ("in.json", VALID_JSON), ("schedule.json", VALID_SCHEDULE)):
+            (workdir / name).write_bytes(data)
+        try:
+            code = run(argv)
+        except SystemExit as stop:
+            pytest.fail(f"SystemExit({stop.code!r}) from {argv}")
+    assert code in {0, 1, 2, 3}

@@ -218,6 +218,18 @@ class TestGenerator:
         with pytest.raises(ValidationError):
             generate_instance(seed=1, n0=5, n1=0, t_min=1, t_max=4)
 
+    def test_too_large_for_any_draw_is_refused_before_drawing(self):
+        # Drawing 10^40 jobs would never end; every draw would fail the
+        # instance's magnitude check, so none is made.
+        with pytest.raises(ValidationError, match="too large"):
+            generate_instance(seed=1, n0=10**40, n1=1, t_max=10**41)
+        # At the bound a draw still passes, and one past it the instance
+        # check refused it before the early check existed.
+        top = MAGNITUDE_LIMIT // 1000
+        assert generate_instance(seed=1, n0=1, n1=0, t_min=top, t_max=top).jobs[0].temperature == top * 1000
+        with pytest.raises(ValidationError, match="too large"):
+            generate_instance(seed=1, n0=1, n1=0, t_min=top + 1, t_max=top + 1)
+
 
 class TestVerify:
     def test_reports_match_solver(self):

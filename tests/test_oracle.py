@@ -358,6 +358,33 @@ def test_cli_sweep_imports_no_numpy_ma(tmp_path):
     )
 
 
+def test_cli_commands_import_no_argparse(tmp_path):
+    # argparse, gettext and locale cost about 2-3 ms of every CLI run; the
+    # option table needs none of them, and no command may load them later.
+    csv = tmp_path / "jobs.csv"
+    csv.write_text("a,1,0\nb,2,1\nc,3,1\nd,0,0\n", encoding="utf-8")
+    result = tmp_path / "result.json"
+    result.write_text('{"schedule": ["d", "a", "b", "c"], "T": "3", "C": 1}', encoding="utf-8")
+    runs = [
+        ["solve", "--input", str(csv), "--max-color-changes", "2", "--emit-plot", str(tmp_path / "p.tsv")],
+        ["solve", "--input", str(csv), "--max-color-changes", "2", "--emit-plot", str(tmp_path / "p.svg")],
+        ["sweep", "--input", str(csv), "--emit-plot-dir", str(tmp_path / "plots")],
+        ["verify", "--input", str(csv), "--schedule", str(result)],
+        ["gen", "--seed", "1", "--n0", "3", "--n1", "3", "--out", str(tmp_path / "gen.csv")],
+    ]
+    run_child(
+        f"""
+        import contextlib, io, sys
+        from calsched import cli
+        for argv in {runs!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0, argv
+            loaded = {{"argparse", "gettext", "locale"}} & set(sys.modules)
+            assert not loaded, (argv, loaded)
+        """
+    )
+
+
 class TestSmallInstances:
     def test_budget_one(self):
         inst = make_two_color([1, 4], [2, 3])
