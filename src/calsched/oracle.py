@@ -18,7 +18,11 @@ is popcount-ranked, a :class:`RankedTable` of one numpy block per subset
 size ``s``, of shape ``(min(s, cap + 1), s, C(n, s))``, indexed by ``k``,
 the position of ``last`` among the set bits of ``mask`` and the colex rank
 of ``mask`` among the masks of size ``s``.  At 16 jobs it takes 17 MiB in
-``int32``, a quarter of the dense ``(cap + 1, 2^n, n)`` table.
+``int32``, a quarter of the dense ``(cap + 1, 2^n, n)`` table.  The one
+size bound is in bytes: a build whose table and index arrays would pass
+``MAX_TABLE_BYTES`` (1 GiB) raises :class:`OracleSizeError` before it
+allocates.  Over every change count that admits 20 jobs (487 MiB) and
+refuses 21 (1,064 MiB); a smaller budget admits more.
 
 Block ``s`` is filled from block ``s - 1`` in pull form: a target
 ``(mask, nxt)`` reads its one predecessor mask ``mask ^ (1 << nxt)`` at
@@ -52,7 +56,6 @@ only the first, so its search runs with ``schedule_cap=1``.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -68,7 +71,6 @@ from .core import (
     pareto_table,
 )
 
-DEFAULT_MAX_JOBS = 16
 DEFAULT_SCHEDULE_CAP = 64
 
 # Each work array of a table build holds at most this many cells (128 KiB
@@ -76,26 +78,12 @@ DEFAULT_SCHEDULE_CAP = 64
 _CHUNK_CELLS = 1 << 15
 
 # A subset-DP table build is refused when its table and index arrays would
-# exceed this size.  At the default job cap the table takes at most 17 MiB
-# (16 jobs, 15 changes, int32) and the index arrays about 4 MiB.
+# exceed this size (see the module notes).
 MAX_TABLE_BYTES = 1 << 30
 
 
 class OracleSizeError(ValueError):
     """Instance too large for exhaustive search."""
-
-
-def oracle_job_limit() -> int:
-    """Size cap for exhaustive search (env ``CALSCHED_ORACLE_MAX_N``)."""
-    raw = os.environ.get("CALSCHED_ORACLE_MAX_N")
-    if raw is None:
-        return DEFAULT_MAX_JOBS
-    try:
-        return int(raw)
-    except ValueError:
-        raise OracleSizeError(
-            f"CALSCHED_ORACLE_MAX_N must be an integer, got {raw!r}"
-        ) from None
 
 
 def table_dtype(n: int, span: int) -> tuple[type[np.signedinteger], int]:
@@ -138,16 +126,6 @@ def build_bytes(n: int, cap: int, dtype: type[np.signedinteger]) -> int:
     counts, widest = _layer_sizes(n)
     index_cells = (1 << n) + 4 * widest + 2 * max(counts)
     return table_bytes(n, cap, dtype) + index_cells * np.dtype(np.intp).itemsize
-
-
-def _check_size(instance: Instance) -> None:
-    limit = oracle_job_limit()
-    if len(instance.jobs) > limit:
-        raise OracleSizeError(
-            "exhaustive search, the only exact method known for three or "
-            f"more colors, handles at most {limit} merged jobs "
-            f"(got {len(instance.jobs)})"
-        )
 
 
 @dataclass(frozen=True)
@@ -210,16 +188,25 @@ def _subset_dp_table(
     build and hold at most ``_CHUNK_CELLS`` cells each.  A build whose
     table and index arrays (see :func:`build_bytes`) would take more than
     ``MAX_TABLE_BYTES`` is refused with :class:`OracleSizeError` before
-    anything is allocated.
+    anything is allocated; this is the exhaustive solver's only size bound.
     """
     n = len(temps)
     dtype, sentinel = table_dtype(n, max(temps) - min(temps))
-    size = build_bytes(n, cap, dtype)
+    # The rank lookup alone takes 2**n cells.  Past the limit the build is
+    # refused before its bytes are summed over every subset size, and the
+    # message gives a power of two: 2**n MiB overflows a float past about
+    # 1,000 jobs.
+    lookup = (1 << n) * np.dtype(np.intp).itemsize
+    size = lookup if lookup > MAX_TABLE_BYTES else build_bytes(n, cap, dtype)
     if size > MAX_TABLE_BYTES:
+        need = (
+            f"at least 2^{lookup.bit_length() - 21} MiB for its rank lookup"
+            if lookup > MAX_TABLE_BYTES
+            else f"{size / 2**20:,.0f} MiB for its table and index arrays"
+        )
         raise OracleSizeError(
             f"exhaustive search over {n} merged jobs with up to {cap} color "
-            f"changes needs {size / 2**20:,.0f} MiB for its table and index "
-            f"arrays, above the {MAX_TABLE_BYTES >> 20:,} MiB limit"
+            f"changes needs {need}, above the {MAX_TABLE_BYTES >> 20:,} MiB limit"
         )
     penalty = sentinel - 1
     t = np.array(temps, dtype=np.int64)
@@ -401,12 +388,11 @@ def brute_force_optimal(
 
     The optimal schedules are the lexicographically first ``schedule_cap``
     optimal orders of the instance's job indices, in that order;
-    ``truncated`` says that more exist.  Refuses instances above
-    :func:`oracle_job_limit`.
+    ``truncated`` says that more exist.  Raises :class:`OracleSizeError`
+    when the table at the budget would exceed ``MAX_TABLE_BYTES``.
     """
     if schedule_cap < 1:
         raise ValueError(f"schedule_cap must be at least 1, got {schedule_cap}")
-    _check_size(instance)
     return _solve(instance, schedule_cap, None, max_color_changes)
 
 
@@ -414,10 +400,9 @@ def shortest_schedule(instance: Instance, max_color_changes: int) -> SolveResult
     """The first of ``brute_force_optimal(instance, max_color_changes)``'s
     optimal schedules, from a table built at the budget.
 
-    Refuses instances above :func:`oracle_job_limit` with
-    :class:`OracleSizeError`, whatever the budget.
+    Raises :class:`OracleSizeError` when that table would exceed
+    ``MAX_TABLE_BYTES``, so a small budget admits more jobs.
     """
-    _check_size(instance)
     return _first_optimum(instance, None, max_color_changes)
 
 
@@ -428,9 +413,11 @@ def pareto_front(
 
     Both read one subset-DP table built at the merged maximum.  The solve
     takes a sequence of budgets, infeasible ones included, and returns
-    what :func:`shortest_schedule` returns for each.
+    what :func:`shortest_schedule` returns for each.  Raises
+    :class:`OracleSizeError` when the table would exceed
+    ``MAX_TABLE_BYTES``, as it does from 21 jobs of three colors that can
+    alternate throughout.
     """
-    _check_size(instance)
     temps, colors, _ = _prepare(instance)
     built = _subset_dp_table(temps, colors, max_merged_color_changes(instance))
     table, sentinel = built

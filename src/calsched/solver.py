@@ -153,9 +153,8 @@ class SearchGraph:
     :meth:`_plan` builds ``_into`` and ``_work`` before the first grid is
     relaxed.  ``_bits[l, c]`` and ``_rows[l, c]`` are what reconstruction
     reads of each grid priced.  ``_tau[k]`` is the optimum with exactly
-    ``k`` changes for every ``k`` priced so far (index 0 unused), and
-    ``_best[k]`` the best ``(value, changes)`` with at most ``k`` changes;
-    the number of layers priced is ``len(_tau) - 2``.  ``_cpus`` is the
+    ``k`` changes for every ``k`` priced so far (index 0 unused); the
+    number of layers priced is ``len(_tau) - 2``.  ``_cpus`` is the
     number of CPUs this process may run on, read once for
     :func:`pass_plan`.
     """
@@ -183,7 +182,7 @@ class SearchGraph:
         # One change: both whole colors, joined at the closest pair of ends.
         borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
         tau1 = int(self._entry[0][-1] + self._entry[1][-1]) + borders
-        self._tau, self._best = [INF, tau1], [(INF, 0), (tau1, 1)]
+        self._tau = [INF, tau1]
         # Layer 1: chain p's grid has color 1 - p and is an entry grid.
         self._grids = [self._entry_grid(1 - p) for p in (0, 1)]
         self._rows = {(1, 1 - p): grid[-1] for p, grid in enumerate(self._grids)}
@@ -213,13 +212,11 @@ class SearchGraph:
             self._record(*lows)
 
     def _record(self, lows0: list, lows1: list) -> None:
-        """Append to ``_tau`` and ``_best`` the target of ``layer + 1``
-        changes for each layer of a run in order: the lesser of the least
-        exits that chains 0 and 1 returned for the layer's two grids."""
+        """Append to ``_tau`` the target of ``layer + 1`` changes for each
+        layer of a run in order: the lesser of the least exits that chains
+        0 and 1 returned for the layer's two grids."""
         for low0, low1 in zip(lows0, lows1):
-            value = int(min(low0, low1))
-            self._tau.append(value)
-            self._best.append((value, len(self._tau) - 1) if value < self._best[-1][0] else self._best[-1])
+            self._tau.append(int(min(low0, low1)))
 
     def _advance(self, p: int, layers: range, kernel: Kernel, stop: threading.Event) -> list:
         """Relax chain ``p``'s grids of ``layers`` until ``stop`` is set, and
@@ -329,7 +326,7 @@ class SearchGraph:
 
     def best_under_cap(self, cap: int) -> tuple[int, int]:
         """Minimum total change with at most ``cap`` changes, and the
-        smallest change count attaining it.
+        smallest change count attaining it, read from ``_tau``.
 
         No schedule beats the temperature span, which ``saturation``
         changes first attain, so layers are priced only as far as
@@ -337,7 +334,8 @@ class SearchGraph:
         """
         cap = min(cap, self.max_changes, self.saturation)
         self._price(cap)
-        return self._best[cap]
+        value = min(self._tau[1 : cap + 1])
+        return value, self._tau.index(value, 1)
 
     def solve_many(self, budgets: Iterable[int]) -> list[SolveResult]:
         """Best schedule with at most ``b`` changes for each budget ``b``
@@ -664,8 +662,9 @@ def shortest_schedule(instance: Instance, max_color_changes: int) -> SolveResult
 
     With two colors the returned schedule is in canonical form; with three
     or more it is the exhaustive solver's lexicographically first optimum,
-    and instances above :func:`~calsched.oracle.oracle_job_limit` merged
-    jobs raise :class:`~calsched.oracle.OracleSizeError`.  Metrics are
+    and instances whose table would pass
+    :data:`~calsched.oracle.MAX_TABLE_BYTES` raise
+    :class:`~calsched.oracle.OracleSizeError`.  Metrics are
     recomputed from the job sequence, so the reported value always equals
     the realized one.
     """

@@ -314,12 +314,26 @@ class TestCli:
         assert capsys.readouterr().out == plain
 
     def test_solve_three_colors_too_large_exits_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "5")
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", 1 << 10)
         rows = [f"j{i},{t},{c}" for i, (t, c) in enumerate(TEN_JOB_THREE_COLOR)]
         path = tmp_path / "big.csv"
         path.write_text("\n".join(rows), encoding="utf-8")
         code = main(["solve", "--input", str(path), "--max-color-changes", "4"])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "above the 0 MiB limit" in err
+
+    @pytest.mark.parametrize("colors", [2, 3])
+    def test_solve_seventeen_jobs(self, colors, tmp_path, capsys):
+        # Three colors take the exhaustive solver, and two colors are
+        # checked against it, both inside the byte bound.
+        rng = random.Random(17)
+        rows = [f"j{i},{t},{i % colors}" for i, t in enumerate(rng.sample(range(1, 1000), 17))]
+        path = tmp_path / "jobs.csv"
+        path.write_text("\n".join(rows), encoding="utf-8")
+        assert main(["solve", "--input", str(path), "--max-color-changes", "16", "--oracle-check"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["feasible"] and len(doc["schedule"]) == 17
 
     def test_sweep(self, instance_file, capsys):
         code = main(["sweep", "--input", str(instance_file)])

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,12 +19,13 @@ from calsched import (
     enumerate_pareto,
     normalize,
     pareto_sweep,
+    shortest_schedule,
     temperature_span,
     total_temperature_change,
 )
 from calsched import oracle
 from calsched.core import INF, MAGNITUDE_LIMIT, max_merged_color_changes
-from calsched.oracle import OracleSizeError, oracle_job_limit
+from calsched.oracle import OracleSizeError
 from conftest import (
     THREE_COLOR_OPTIMUM,
     child_peak_rss_mb,
@@ -164,17 +166,18 @@ class TestModes:
 
 
 class TestSizeLimits:
-    def test_dp_cap_and_env_override(self, monkeypatch):
+    def test_byte_bound_is_the_only_size_limit(self, monkeypatch):
+        # The build's counted bytes decide, up to and including the limit,
+        # whatever the job count.
         inst = make_two_color(list(range(1, 9)), list(range(1, 5)))
-        monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "10")
-        assert oracle_job_limit() == 10
-        with pytest.raises(OracleSizeError):
+        size = oracle.build_bytes(12, 3, np.int32)
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", size - 1)
+        with pytest.raises(OracleSizeError, match=r"MiB for its table and index arrays"):
             brute_force_optimal(inst, 3)
-        monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "12")
+        monkeypatch.setattr(oracle, "MAX_TABLE_BYTES", size)
         assert brute_force_optimal(inst, 3).feasible
 
-    def test_default_cap_fits_the_table_limit(self, monkeypatch):
-        assert oracle.DEFAULT_MAX_JOBS == 16
+    def test_table_limit_admits_20_jobs_and_refuses_21(self, monkeypatch):
         assert oracle.table_bytes(16, 15, np.int32) == 17 << 20
         assert oracle.build_bytes(16, 15, np.int32) < 21 << 20
         assert oracle.build_bytes(20, 19, np.int32) <= oracle.MAX_TABLE_BYTES
@@ -194,8 +197,8 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("command", [["sweep"], ["solve", "--max-color-changes", "3"]])
     def test_oversized_table_refused_before_allocating(self, command, tmp_path, monkeypatch, capsys):
-        # 45 merged jobs would need petabytes; with the job limit raised,
-        # the byte bound refuses the table before any array is allocated.
+        # 45 merged jobs would need petabytes; the byte bound refuses the
+        # table before any array is allocated.
         from calsched.cli import main
 
         def allocate(*args, **kwargs):
@@ -207,12 +210,56 @@ class TestSizeLimits:
             "".join(f"j{i},{rng.randint(0, 10**6) / 1000},{i % 3}\n" for i in range(45)),
             encoding="utf-8",
         )
-        monkeypatch.setenv("CALSCHED_ORACLE_MAX_N", "100")
         for name in ("empty", "zeros", "full"):
             monkeypatch.setattr(np, name, allocate)
         assert main([command[0], "--input", str(path), *command[1:]]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "MiB" in err and err.count("\n") == 1
+
+    def test_any_job_count_is_refused_at_once(self, tmp_path, monkeypatch, capsys):
+        # From 28 jobs the 2**n-cell rank lookup alone passes the limit, so
+        # the build is refused before its bytes are summed over every
+        # subset size, and the message holds no float of 2**n.
+        from calsched.cli import main
+
+        def allocate(*args, **kwargs):
+            raise AssertionError("array allocated")
+
+        rng = random.Random(2000)
+        paths = {}
+        for n in (21, 28, 2000, 5000):
+            # Distinct temperatures, so no jobs merge.
+            temps = rng.sample(range(10**6), n)
+            paths[n] = tmp_path / f"jobs{n}.csv"
+            paths[n].write_text(
+                "".join(f"j{i},{t / 1000},{i % 3}\n" for i, t in enumerate(temps)),
+                encoding="utf-8",
+            )
+        for name in ("empty", "zeros", "full"):
+            monkeypatch.setattr(np, name, allocate)
+        start = time.perf_counter()
+        for n, need in [
+            (21, "needs 1,064 MiB for its table and index arrays"),
+            (28, "needs at least 2^11 MiB for its rank lookup"),
+            (2000, "needs at least 2^1983 MiB for its rank lookup"),
+            (5000, "needs at least 2^4983 MiB for its rank lookup"),
+        ]:
+            assert main(["sweep", "--input", str(paths[n])]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: exhaustive search over {n} merged jobs")
+            assert need in captured.err and captured.err.count("\n") == 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_seventeen_jobs_match_the_graph_solver(self):
+        # 17 jobs take a 46 MiB table at the full budget, well inside the
+        # byte bound.
+        rng = random.Random(17)
+        temps = rng.sample(range(1, 1000), 17)
+        inst = make_two_color(temps[:9], temps[9:])
+        for budget in (3, max_merged_color_changes(inst)):
+            reference = brute_force_optimal(inst, budget, schedule_cap=1)
+            assert reference.optimal_total_change == shortest_schedule(inst, budget).total_change
 
     @pytest.mark.parametrize("schedule_cap", [0, -1])
     def test_schedule_cap_below_one_rejected(self, schedule_cap):
