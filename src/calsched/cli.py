@@ -40,7 +40,6 @@ from .formats import (
     parse_instance,
     parse_json,
     plot_svg,
-    plot_tsv,
     plot_tsv_bytes,
     serialize_instance,
     verify_schedule,
@@ -97,8 +96,11 @@ def _write_bytes(path: Path, data: bytes) -> None:
 
 
 def _write_plot(schedule: Schedule, path: str) -> None:
-    text = plot_svg(emit_plot(schedule)) if path.endswith(".svg") else plot_tsv(schedule)
-    Path(path).write_text(text, encoding="utf-8")
+    if path.endswith(".svg"):
+        data = plot_svg(emit_plot(schedule)).encode()
+    else:
+        data = next(plot_tsv_bytes([schedule]))
+    _write_bytes(Path(path), data)
 
 
 def _cmd_solve(args: SimpleNamespace) -> int:

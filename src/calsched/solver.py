@@ -59,12 +59,13 @@ The pass is dense numpy work, shaped six ways:
   cells past that corner are relaxed and stored, and every other node
   counts as unreachable (``INF``);
 * rolling with decision bits: a grid is read only to relax the next
-  grid of its chain (see below), so each chain relaxes into three reused
-  buffers.  For reconstruction the pass keeps, per relaxed grid, one bit
-  per band cell, set when the cell's own predecessor on the layer below
-  attains the cell's running minimum, and the grid's last row, which the
-  exits read.  A walk reads only those, so no layer is relaxed twice,
-  and ``K`` layers keep about ``K * n0 * n1 / 4`` bytes of bits;
+  grid of its chain (see below), so each chain relaxes into two reused
+  buffers, and keeps a third as scratch from the first run whose kernel
+  needs one.  For reconstruction the pass keeps, per relaxed grid, one
+  bit per band cell, set when the cell's own predecessor on the layer
+  below attains the cell's running minimum, and the grid's last row,
+  which the exits read.  A walk reads only those, so no layer is relaxed
+  twice, and ``K`` layers keep about ``K * n0 * n1 / 4`` bytes of bits;
 * narrow: temperatures are shifted so the lowest is 0, which changes no
   weight or target, and then every band value on layer ``l`` lies in
   ``[-span, (l + 2) * span]``.  :func:`grid_dtype` turns that bound into
@@ -116,8 +117,9 @@ from .core import (
 
 _PAIRS = ((0, 1), (1, 0))  # (c, o): each color, then the other one
 
-# A running minimum down the rows: (values, out, spare), all of one shape.
-Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+# A running minimum down the rows: (values, out, spare), all of one shape;
+# a kernel in _SCRATCH_FREE is passed no spare.
+Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray | None], None]
 
 
 class SearchGraph:
@@ -148,15 +150,16 @@ class SearchGraph:
 
     Layer ``l`` stores only its band (see :func:`_band`).  The grid of
     layer ``l`` and color ``c`` belongs to chain ``p = (l + c) % 2``:
-    ``_grids[p]`` is the chain's newest grid, and ``_work[p]`` holds its
-    three flat grid buffers and its flat mask buffer (see :meth:`_relax`).
-    :meth:`_plan` builds ``_into`` and ``_work`` before the first grid is
-    relaxed.  ``_bits[l, c]`` and ``_rows[l, c]`` are what reconstruction
-    reads of each grid priced.  ``_tau[k]`` is the optimum with exactly
-    ``k`` changes for every ``k`` priced so far (index 0 unused); the
-    number of layers priced is ``len(_tau) - 2``.  ``_cpus`` is the
-    number of CPUs this process may run on, read once for
-    :func:`pass_plan`.
+    ``_grids[p]`` is the chain's newest grid, and ``_work[p]`` lists its
+    flat grid and sums buffers, its flat mask buffer and, from the first
+    run whose kernel needs scratch, a flat spare buffer (see
+    :meth:`_relax`).  :meth:`_plan` builds ``_into`` and ``_work`` before
+    the first grid is relaxed, and adds the spares.  ``_bits[l, c]`` and
+    ``_rows[l, c]`` are what reconstruction reads of each grid priced.
+    ``_tau[k]`` is the optimum with exactly ``k`` changes for every ``k``
+    priced so far (index 0 unused); the number of layers priced is
+    ``len(_tau) - 2``.  ``_cpus`` is the number of CPUs this process may
+    run on, read once for :func:`pass_plan`.
     """
 
     def __init__(self, instance: Instance, max_changes: int) -> None:
@@ -194,17 +197,13 @@ class SearchGraph:
         """Price layers until ``_tau`` reaches ``changes`` changes.
 
         Layers are priced in runs that keep one :func:`pass_plan`, up to
-        the last layer needed.  Each parity chain relaxes the run on its
-        own, on a thread of its own when the plan says so, and returns its
-        grids' least exits, which :meth:`_record` turns into the run's
-        targets.
+        the last layer needed (see :meth:`_plan`).  Each parity chain
+        relaxes the run on its own, on a thread of its own when the plan
+        says so, and returns its grids' least exits, which :meth:`_record`
+        turns into the run's targets.
         """
         while len(self._tau) <= changes:
-            first = end = len(self._tau) - 1
-            kernel, threaded = plan = self._plan(first)
-            while end + 1 < changes and self._plan(end + 1) == plan:
-                end += 1
-            layers = range(first, end + 1)
+            layers, kernel, threaded = self._plan(len(self._tau) - 1, changes)
             if threaded:
                 lows = _on_two_threads(lambda p, stop: self._advance(p, layers, kernel, stop))
             else:
@@ -232,21 +231,35 @@ class SearchGraph:
             lows.append(self._exits(layer, 1 - c).min(initial=INF))
         return lows
 
-    def _plan(self, layer: int) -> tuple[Kernel, bool]:
-        """:func:`pass_plan` for ``layer``'s band width.  The first time,
-        before any chain runs, the calling thread also builds the ``_into``
-        weights, c's jobs down and o's jobs across, and each chain's
-        ``_work`` buffers, which every kernel's :meth:`_relax` uses; a graph
-        that prices no layer past the first allocates neither."""
+    def _plan(self, first: int, changes: int) -> tuple[range, Kernel, bool]:
+        """The run of layers from ``first`` whose band widths keep one
+        :func:`pass_plan`, up to the last layer that ``changes`` changes
+        need, and that plan's kernel and threads.
+
+        Before any chain runs, the calling thread also builds what the
+        run's :meth:`_relax` calls use.  The first time, that is the
+        ``_into`` weights, c's jobs down and o's jobs across, and each
+        chain's ``_work``: a grid buffer, a sums buffer and a mask buffer.
+        The first time the run's kernel is not in ``_SCRATCH_FREE``, it is
+        each chain's spare buffer, which the graph then keeps.  A graph
+        that prices no layer past the first allocates none of these.
+        """
+        size = self._n[0] * self._n[1]
         if self._into is None:
             t = tuple(tc.astype(self._dtype) for tc in self._t)
             self._into = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
-            size = self._n[0] * self._n[1]
             self._work = tuple(
-                (tuple(np.empty(size, self._dtype) for _ in range(3)), np.empty(size, np.bool_))
+                [np.empty(size, self._dtype), np.empty(size, self._dtype), np.empty(size, np.bool_)]
                 for _ in (0, 1)
             )
-        return pass_plan(min(self._n) - _band(layer)[0], self._cpus)
+        end, short = first, min(self._n)
+        kernel, threaded = plan = pass_plan(short - _band(first)[0], self._cpus)
+        while end + 1 < changes and pass_plan(short - _band(end + 1)[0], self._cpus) == plan:
+            end += 1
+        if kernel not in _SCRATCH_FREE and len(self._work[0]) == 3:
+            for work in self._work:
+                work.append(np.empty(size, self._dtype))
+        return range(first, end + 1), kernel, threaded
 
     def _entry_grid(self, c: int) -> np.ndarray:
         """Layer 1's color-c grid: an entry block of the other color's jobs
@@ -266,7 +279,7 @@ class SearchGraph:
         c: int,
         prev: np.ndarray,
         kernel: Kernel,
-        work: tuple[tuple[np.ndarray, ...], np.ndarray],
+        work: list[np.ndarray],
     ) -> np.ndarray:
         """``layer``'s color-c band grid (layer 2 and up) from ``prev``, the
         color-o grid of the layer below, and what reconstruction reads of
@@ -282,21 +295,18 @@ class SearchGraph:
         minimum.  ``_rows[layer, c]`` is the grid's last row, which the exits
         read.
 
-        ``work`` is the chain's three flat grid buffers and its mask
-        buffer.  The grid of ``layer`` goes into buffer ``layer % 3`` and
-        ``paths`` into ``(layer + 1) % 3``; ``prev`` lies in the third, or
-        is layer 1's broadcast view, and is dead once ``paths`` is added,
-        so the kernel may use the third buffer as its spare.
+        ``work`` is the chain's flat grid, sums and mask buffers, and its
+        spare buffer if :meth:`_plan` added one.  ``paths`` always goes into
+        the sums buffer.  ``prev`` lies in the grid buffer, or is layer 1's
+        broadcast view, and is dead once ``paths`` is added, so the kernel
+        writes the grid over it.  Only a kernel that needs scratch is passed
+        the spare.
         """
         a, b = _band(layer)
         h, w = self._n[c] - a, self._n[1 - c] - b
-        flats, mask = work
-        grid, paths, spare, mask = (
-            flat[: h * w].reshape(h, w)
-            for flat in (flats[layer % 3], flats[(layer + 1) % 3], flats[(layer + 2) % 3], mask)
-        )
+        grid, paths, mask, *spare = (flat[: h * w].reshape(h, w) for flat in work)
         np.add(prev.T[:h, :w], self._into[c][a:, b:], out=paths)
-        kernel(paths, grid, spare)
+        kernel(paths, grid, *spare)
         np.equal(paths, grid, out=mask)
         self._bits[layer, c] = np.packbits(mask.reshape(-1), bitorder="little")
         self._rows[layer, c] = grid[-1].copy()
@@ -505,10 +515,10 @@ def pass_plan(width: int, cpus: int) -> tuple[Kernel, bool]:
     return kernel, cpus >= 2 and width >= _THREADS_FROM
 
 
-def _accumulate_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+def _accumulate_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None) -> None:
     """Running minimum down the rows of ``values`` into ``out`` by numpy's
-    ``minimum.accumulate``: one strided scalar loop per column.  ``spare``
-    is not used."""
+    ``minimum.accumulate``: one strided scalar loop per column.  It needs
+    no scratch, so the pass passes no ``spare``."""
     np.minimum.accumulate(values, axis=0, out=out)
 
 
@@ -538,9 +548,10 @@ def _doubling_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) ->
         source, d = target, 2 * d
 
 
-def _blocked_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+def _blocked_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None) -> None:
     """Running minimum down the rows of the C-contiguous ``values``, into
-    the C-contiguous ``out`` of the same shape; ``spare`` is not used.
+    the C-contiguous ``out`` of the same shape.  It needs no scratch, so
+    the pass passes no ``spare``.
 
     ``minimum.accumulate`` along axis 0 runs one strided scalar loop per
     column and holds the GIL when a column has 500 or fewer cells.  Here
@@ -563,6 +574,11 @@ def _blocked_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) -> 
     np.minimum(blocks[1:, :-1], blocks[:-1, -1:], out=blocks[1:, :-1])
     for r in range(count * size, rows):
         np.minimum(out[r - 1], values[r], out=out[r])
+
+
+# Kernels that write only ``out``: a chain whose runs use only these never
+# allocates a spare buffer (see SearchGraph._plan).
+_SCRATCH_FREE = frozenset({_accumulate_minimum, _blocked_minimum})
 
 
 def _usable_cpus() -> int:

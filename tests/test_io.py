@@ -285,6 +285,20 @@ class TestCli:
         lines = plot.read_text(encoding="utf-8").splitlines()
         assert lines[-1].split("\t")[0] == doc["T"]
 
+    def test_solve_plot_bytes_are_the_plot_text(self, tmp_path, capsys):
+        # The TSV file holds the bytes plot_tsv encodes, with non-ASCII ids
+        # and merged equal-temperature jobs.
+        rng = random.Random(24)
+        rows = [f"é{i},{rng.randint(0, 12) / 4},{i % 2}" for i in range(40)]
+        path = tmp_path / "jobs.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        plot = tmp_path / "x.tsv"
+        assert main(["solve", "--input", str(path), "--max-color-changes", "5", "--emit-plot", str(plot)]) == 0
+        capsys.readouterr()
+        result = shortest_schedule(parse_instance(path.read_text(encoding="utf-8"), "csv"), 5)
+        assert len(result.schedule.instance.jobs) < 40
+        assert plot.read_bytes() == plot_tsv(result.schedule).encode()
+
     def test_solve_three_colors_routes_to_oracle(self, tmp_path, capsys):
         path = tmp_path / "three.csv"
         path.write_text(

@@ -49,6 +49,24 @@ FORCED_PLANS = {
 }
 
 
+def forty_thirty():
+    """A seeded 40+30 instance: its bands are at most 29 wide."""
+    temps = random.Random(41).sample(range(1, 1000), 70)
+    return make_two_color(temps[:40], temps[40:])
+
+
+def log_allocations(monkeypatch, log):
+    """Patch ``np.empty`` to append ``("empty", cells)`` to ``log`` for
+    each array it allocates."""
+    real_empty = np.empty
+
+    def recording_empty(shape, *args, **kwargs):
+        log.append(("empty", math.prod(np.atleast_1d(shape))))
+        return real_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", recording_empty)
+
+
 @st.composite
 def lopsided_records(draw, max_jobs=9, max_temp=9):
     """One job of one color and 1..max_jobs of the other (1+1 and 1+n
@@ -460,19 +478,10 @@ class TestCheckpoints:
         # Construction prices layer 1 from the entry grids, which budgets 1
         # and 2 read only, so they relax no grid and no buffer of n0 * n1
         # cells is allocated; budget 3 relaxes one grid per color.
-        rng = random.Random(41)
-        temps = rng.sample(range(1, 1000), 70)
-        instance = make_two_color(temps[:40], temps[40:])
-        cells = 40 * 30
+        instance, cells = forty_thirty(), 40 * 30
         sizes, relaxed = [], []
-        real_empty = np.empty
         real_relax = solver.SearchGraph._relax
-
-        def recording_empty(shape, *args, **kwargs):
-            sizes.append(math.prod(np.atleast_1d(shape)))
-            return real_empty(shape, *args, **kwargs)
-
-        monkeypatch.setattr(np, "empty", recording_empty)
+        log_allocations(monkeypatch, sizes)
         monkeypatch.setattr(
             solver.SearchGraph, "_relax", lambda *a, **kw: relaxed.append(a[1:3]) or real_relax(*a, **kw)
         )
@@ -482,10 +491,55 @@ class TestCheckpoints:
         graph = build_search_graph(instance, 2)
         assert None not in graph.layer_target_distances()
         assert all(result.feasible for result in graph.solve_many([1, 2]))
-        assert cells not in sizes and relaxed == []
+        assert ("empty", cells) not in sizes and relaxed == []
         assert shortest_schedule(instance, 3).feasible
-        assert sizes.count(cells) == 8  # two chains of three grid buffers and one mask
+        # 30 wide, the bands take the accumulate kernel, which needs no
+        # spare: two chains of two grid buffers and one mask.
+        assert sizes.count(("empty", cells)) == 6
         assert sorted(relaxed) == [(2, 0), (2, 1)]
+
+    def test_a_kernel_with_scratch_adds_one_spare_per_chain(self, monkeypatch):
+        sizes = []
+        log_allocations(monkeypatch, sizes)
+        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: FORCED_PLANS["doubling"])
+        graph = build_search_graph(forty_thirty(), 9)
+        graph.layer_target_distances()
+        assert sizes.count(("empty", 40 * 30)) == 8  # two chains of three grid buffers and one mask
+        assert [len(work) for work in graph._work] == [4, 4]
+
+    def test_spares_come_with_the_first_doubling_run(self, monkeypatch):
+        # With the thresholds patched low, the bands of a 40+30 curve take
+        # the blocked kernel down to 20 wide and the doubling kernel below.
+        # Each chain's spare is allocated once, after the blocked runs have
+        # relaxed and before the first doubling relax.
+        instance, cells = forty_thirty(), 40 * 30
+        top = max_merged_color_changes(instance)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "pass_plan", lambda width, cpus: FORCED_PLANS["accumulate"])
+            reference = build_search_graph(instance, top)
+            expected = reference.layer_target_distances(), reference.solve_many(range(1, top + 1))
+        events = []
+        real_relax = solver.SearchGraph._relax
+
+        def relax(graph, layer, c, prev, kernel, work):
+            events.append(("relax", kernel))
+            return real_relax(graph, layer, c, prev, kernel, work)
+
+        monkeypatch.setattr(solver, "_DOUBLING_FROM", 1)
+        monkeypatch.setattr(solver, "_BLOCKED_FROM", 20)
+        log_allocations(monkeypatch, events)
+        monkeypatch.setattr(solver.SearchGraph, "_relax", relax)
+        graph = build_search_graph(instance, top)
+        answers = graph.layer_target_distances(), graph.solve_many(range(1, top + 1))
+        assert answers == expected
+        kernels = [kernel for event, kernel in events if event == "relax"]
+        switch = kernels.index(solver._doubling_minimum)
+        assert 0 < switch and set(kernels[:switch]) == {solver._blocked_minimum}
+        assert set(kernels[switch:]) == {solver._doubling_minimum}
+        buffers = [i for i, event in enumerate(events) if event == ("empty", cells)]
+        first_doubling = events.index(("relax", solver._doubling_minimum))
+        assert len(buffers) == 8 and buffers[5] < events.index(("relax", solver._blocked_minimum))
+        assert buffers[6:] == [first_doubling - 2, first_doubling - 1]
 
     def test_reconstruction_relaxes_no_grid(self, monkeypatch):
         # Walks read only the decision bits and last rows the pass kept.
@@ -601,8 +655,9 @@ class TestCheckpoints:
         assert peak_mb < 512, peak_mb
 
     def test_500_solve_peak_memory(self):
-        # A 500+500 solve at budget 50 in a fresh process, near 41 MB: the
-        # pass keeps decision bits, not grids.  Keeping every
+        # A 500+500 solve at budget 50 in a fresh process, near 39 MB: the
+        # pass keeps decision bits, not grids, and its blocked kernel needs
+        # no spare grid buffer.  Keeping every
         # ceil(sqrt(K))-th grid layer for the walks instead reads 58 MB.
         peak_mb = child_peak_rss_mb(
             """
@@ -614,7 +669,7 @@ class TestCheckpoints:
             assert result.feasible and result.changes <= 50
             """
         )
-        assert peak_mb < 46, peak_mb
+        assert peak_mb < 44, peak_mb
 
 
 class TestPassPlan:
@@ -646,7 +701,7 @@ class TestPassPlan:
         rng = np.random.default_rng(rows)
         values = rng.integers(-1000, 1000, size=(rows, 7)).astype(dtype)
         grid = np.empty_like(values)
-        solver._blocked_minimum(values, grid, np.empty_like(values))
+        solver._blocked_minimum(values, grid)
         assert grid.dtype == dtype
         assert np.array_equal(grid, np.minimum.accumulate(values, axis=0))
 
@@ -661,7 +716,7 @@ class TestPassPlan:
         before = values.copy()
         buffer = np.full(23 * 11 + 5, 7777, dtype=dtype)
         grid = buffer[: 19 * 11].reshape(19, 11)
-        solver._blocked_minimum(values, grid, np.empty_like(values))
+        solver._blocked_minimum(values, grid)
         assert np.array_equal(grid, np.minimum.accumulate(before, axis=0))
         assert np.array_equal(values, before)
         assert (buffer[19 * 11 :] == 7777).all()
