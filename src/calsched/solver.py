@@ -48,24 +48,26 @@ The pass is dense numpy work, shaped six ways:
   the open block, so a layer is one add of a fixed per-cell weight to the
   previous layer's grid of the other color and one running minimum, and
   every reader adds the temperature back;
-* saturation and on demand: only a monotone order reaches the
+* saturation and one pass: only a monotone order reaches the
   temperature span, which no schedule beats, and a sorted merge of both
   colors is canonical, so the curve saturates at the fewest changes of a
-  sorted order (:func:`saturation_changes`), known before the pass.
-  Layers are priced as a query needs them, never past saturation for a
-  capped solve or the trade-off table;
+  sorted order (:func:`saturation_changes`), known before the pass.  The
+  first query prices every layer up to the graph's budget in one pass and
+  then releases the pass's buffers, so callers size the budget by
+  saturation: a capped solve and the trade-off table never price past it;
 * band: a node on layer ``l`` has at least ``ceil((l+1)/2)`` jobs of its
   open color and ``floor((l+1)/2)`` of the other behind it, so only the
   cells past that corner are relaxed and stored, and every other node
   counts as unreachable (``INF``);
-* rolling with decision bits: a grid is read only to relax the next
+* two buffers with decision bits: a grid is read only to relax the next
   grid of its chain (see below), so each chain relaxes into two reused
-  buffers, and keeps a third as scratch from the first run whose kernel
-  needs one.  For reconstruction the pass keeps, per relaxed grid, one
-  bit per band cell, set when the cell's own predecessor on the layer
-  below attains the cell's running minimum, and the grid's last row,
-  which the exits read.  A walk reads only those, so no layer is relaxed
-  twice, and ``K`` layers keep about ``K * n0 * n1 / 4`` bytes of bits;
+  buffers, and takes a third as scratch only when a run of the pass uses
+  a kernel that needs one.  For reconstruction the pass keeps, per
+  relaxed grid, one bit per band cell, set when the cell's own
+  predecessor on the layer below attains the cell's running minimum, and
+  the grid's last row, which the exits read.  A walk reads only those, so
+  no layer is relaxed twice, and ``K`` layers keep about
+  ``K * n0 * n1 / 4`` bytes of bits;
 * narrow: temperatures are shifted so the lowest is 0, which changes no
   weight or target, and then every band value on layer ``l`` lies in
   ``[-span, (l + 2) * span]``.  :func:`grid_dtype` turns that bound into
@@ -93,6 +95,7 @@ enters a band grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -127,11 +130,11 @@ class SearchGraph:
 
     ``max_changes`` is the clamped color-change budget (at least 1); the
     graph has ``max_changes - 1`` grid layers plus entry and exit gadgets.
-    Construction prices layer 1, which relaxes no grid, and each query
-    prices the further layers it needs, so the state below grows as the
-    graph is queried: one graph must not be queried from two threads at
-    once, while its :class:`~calsched.core.Instance` may be shared.
-    ``saturation`` is :func:`saturation_changes` of the instance.
+    Construction prices layer 1, which relaxes no grid, and the first
+    query prices every further layer in one pass (see :meth:`_price`), so
+    callers size the budget by :func:`saturation_changes`.  One graph must
+    not be queried from two threads at once, while its
+    :class:`~calsched.core.Instance` may be shared.
 
     Below, ``c`` is either color, ``o = 1 - c`` the other, and ``_t[c]``
     color c's sorted temperatures, shifted so that the lowest is 0.  A
@@ -149,22 +152,20 @@ class SearchGraph:
     :func:`grid_dtype` of every band grid and buffer.
 
     Layer ``l`` stores only its band (see :func:`_band`).  The grid of
-    layer ``l`` and color ``c`` belongs to chain ``p = (l + c) % 2``:
-    ``_grids[p]`` is the chain's newest grid, and ``_work[p]`` lists its
-    flat grid and sums buffers, its flat mask buffer and, from the first
-    run whose kernel needs scratch, a flat spare buffer (see
-    :meth:`_relax`).  :meth:`_plan` builds ``_into`` and ``_work`` before
-    the first grid is relaxed, and adds the spares.  ``_bits[l, c]`` and
-    ``_rows[l, c]`` are what reconstruction reads of each grid priced.
-    ``_tau[k]`` is the optimum with exactly ``k`` changes for every ``k``
-    priced so far (index 0 unused); the number of layers priced is
-    ``len(_tau) - 2``.  ``_cpus`` is the number of CPUs this process may
-    run on, read once for :func:`pass_plan`.
+    layer ``l`` and color ``c`` belongs to chain ``p = (l + c) % 2``.
+    During the pass, ``_grids[p]`` is the chain's newest grid, and
+    ``_work[p]`` lists its flat grid and sums buffers, its flat mask buffer
+    and, when a run of the pass needs scratch, a flat spare buffer (see
+    :meth:`_relax`); the pass drops both, and ``_into``, when it ends.
+    ``_bits[l, c]`` and ``_rows[l, c]`` are what reconstruction reads of
+    each grid priced.  ``_tau[k]`` is the optimum with exactly ``k``
+    changes for every ``k`` priced so far (index 0 unused); the number of
+    layers priced is ``len(_tau) - 2``.  ``_cpus`` is the number of CPUs
+    this process may run on, read once for :func:`pass_plan`.
     """
 
     def __init__(self, instance: Instance, max_changes: int) -> None:
         self.instance, self.max_changes = instance, max_changes
-        self.saturation = saturation_changes(instance)
         self._jobs = tuple(instance.sorted_jobs(color) for color in instance.colors)
         self._n = self.n0, self.n1 = tuple(len(js) for js in self._jobs)
         # Weights and targets depend only on temperature differences, so
@@ -180,35 +181,46 @@ class SearchGraph:
             for c, o in _PAIRS
         )
         self._cpus = _usable_cpus()
-        self._into = self._work = None  # built by _plan
         self._bits = {}
         # One change: both whole colors, joined at the closest pair of ends.
         borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
         tau1 = int(self._entry[0][-1] + self._entry[1][-1]) + borders
         self._tau = [INF, tau1]
-        # Layer 1: chain p's grid has color 1 - p and is an entry grid.
-        self._grids = [self._entry_grid(1 - p) for p in (0, 1)]
-        self._rows = {(1, 1 - p): grid[-1] for p, grid in enumerate(self._grids)}
+        # Layer 1: its grids are entry grids, read only by their last row.
+        self._rows = {(1, c): self._entry_grid(c)[-1] for c in (0, 1)}
         self._record([self._exits(1, 0).min(initial=INF)], [self._exits(1, 1).min(initial=INF)])
 
     # -- dense distance computation ------------------------------------
 
-    def _price(self, changes: int) -> None:
-        """Price layers until ``_tau`` reaches ``changes`` changes.
+    def _price(self) -> None:
+        """Price every layer up to the budget in one pass, on the first call.
 
-        Layers are priced in runs that keep one :func:`pass_plan`, up to
-        the last layer needed (see :meth:`_plan`).  Each parity chain
-        relaxes the run on its own, on a thread of its own when the plan
-        says so, and returns its grids' least exits, which :meth:`_record`
-        turns into the run's targets.
+        The calling thread first allocates all that the runs of
+        :meth:`_plan` use: the ``_into`` weights, c's jobs down and o's
+        jobs across, and each chain's ``_work``, with a spare buffer only
+        if a run's kernel is not in ``_SCRATCH_FREE``.  Each parity chain
+        relaxes a run on its own, on a thread of its own when the plan says
+        so, and returns its grids' least exits for :meth:`_record`.  Then
+        the weights, grids and buffers are dropped.
         """
-        while len(self._tau) <= changes:
-            layers, kernel, threaded = self._plan(len(self._tau) - 1, changes)
+        if len(self._tau) > self.max_changes:
+            return
+        runs, size = self._plan(len(self._tau) - 1), self._n[0] * self._n[1]
+        t = tuple(tc.astype(self._dtype) for tc in self._t)
+        self._into = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
+        scratch = any(kernel not in _SCRATCH_FREE for _, kernel, _ in runs)
+        # Per chain: the grid, sums and mask buffers, then the spare if any.
+        dtypes = (self._dtype, self._dtype, np.bool_, self._dtype)[: 3 + scratch]
+        self._work = tuple([np.empty(size, dtype) for dtype in dtypes] for _ in (0, 1))
+        # Layer 1: chain p's grid has color 1 - p.
+        self._grids = [self._entry_grid(1 - p) for p in (0, 1)]
+        for layers, kernel, threaded in runs:
             if threaded:
                 lows = _on_two_threads(lambda p, stop: self._advance(p, layers, kernel, stop))
             else:
                 lows = [self._advance(p, layers, kernel, threading.Event()) for p in (0, 1)]
             self._record(*lows)
+        del self._into, self._grids, self._work
 
     def _record(self, lows0: list, lows1: list) -> None:
         """Append to ``_tau`` the target of ``layer + 1`` changes for each
@@ -217,7 +229,7 @@ class SearchGraph:
         for low0, low1 in zip(lows0, lows1):
             self._tau.append(int(min(low0, low1)))
 
-    def _advance(self, p: int, layers: range, kernel: Kernel, stop: threading.Event) -> list:
+    def _advance(self, p: int, layers: list[int], kernel: Kernel, stop: threading.Event) -> list:
         """Relax chain ``p``'s grids of ``layers`` until ``stop`` is set, and
         return each grid's least exit.  Chains call nothing that
         ``perfbench/tracing.py`` wraps, since its span stack is not
@@ -231,35 +243,15 @@ class SearchGraph:
             lows.append(self._exits(layer, 1 - c).min(initial=INF))
         return lows
 
-    def _plan(self, first: int, changes: int) -> tuple[range, Kernel, bool]:
-        """The run of layers from ``first`` whose band widths keep one
-        :func:`pass_plan`, up to the last layer that ``changes`` changes
-        need, and that plan's kernel and threads.
-
-        Before any chain runs, the calling thread also builds what the
-        run's :meth:`_relax` calls use.  The first time, that is the
-        ``_into`` weights, c's jobs down and o's jobs across, and each
-        chain's ``_work``: a grid buffer, a sums buffer and a mask buffer.
-        The first time the run's kernel is not in ``_SCRATCH_FREE``, it is
-        each chain's spare buffer, which the graph then keeps.  A graph
-        that prices no layer past the first allocates none of these.
-        """
-        size = self._n[0] * self._n[1]
-        if self._into is None:
-            t = tuple(tc.astype(self._dtype) for tc in self._t)
-            self._into = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
-            self._work = tuple(
-                [np.empty(size, self._dtype), np.empty(size, self._dtype), np.empty(size, np.bool_)]
-                for _ in (0, 1)
-            )
-        end, short = first, min(self._n)
-        kernel, threaded = plan = pass_plan(short - _band(first)[0], self._cpus)
-        while end + 1 < changes and pass_plan(short - _band(end + 1)[0], self._cpus) == plan:
-            end += 1
-        if kernel not in _SCRATCH_FREE and len(self._work[0]) == 3:
-            for work in self._work:
-                work.append(np.empty(size, self._dtype))
-        return range(first, end + 1), kernel, threaded
+    def _plan(self, first: int) -> list[tuple[list[int], Kernel, bool]]:
+        """Every layer from ``first`` to ``max_changes - 1``, as runs of
+        consecutive layers whose band widths keep one :func:`pass_plan`,
+        each with that plan's kernel and threads."""
+        short = min(self._n)
+        plans = itertools.groupby(
+            range(first, self.max_changes), lambda layer: pass_plan(short - _band(layer)[0], self._cpus)
+        )
+        return [(list(layers), *plan) for plan, layers in plans]
 
     def _entry_grid(self, c: int) -> np.ndarray:
         """Layer 1's color-c grid: an entry block of the other color's jobs
@@ -296,10 +288,10 @@ class SearchGraph:
         read.
 
         ``work`` is the chain's flat grid, sums and mask buffers, and its
-        spare buffer if :meth:`_plan` added one.  ``paths`` always goes into
-        the sums buffer.  ``prev`` lies in the grid buffer, or is layer 1's
-        broadcast view, and is dead once ``paths`` is added, so the kernel
-        writes the grid over it.  Only a kernel that needs scratch is passed
+        spare buffer if :meth:`_price` allocated one.  ``paths`` always goes
+        into the sums buffer.  ``prev`` lies in the grid buffer, or is layer
+        1's broadcast view, and is dead once ``paths`` is added, so the
+        kernel writes the grid over it.  Only a kernel that needs scratch is passed
         the spare.
         """
         a, b = _band(layer)
@@ -328,22 +320,16 @@ class SearchGraph:
         """Optimal total change for exactly k changes, k = 1..``max_changes``.
 
         Entry k of the returned list (index k-1) is ``None`` when no
-        canonical schedule uses exactly k changes.  Prices every layer the
-        budget needs.
+        canonical schedule uses exactly k changes.
         """
-        self._price(self.max_changes)
+        self._price()
         return [None if value >= INF else value for value in self._tau[1 : self.max_changes + 1]]
 
     def best_under_cap(self, cap: int) -> tuple[int, int]:
         """Minimum total change with at most ``cap`` changes, and the
-        smallest change count attaining it, read from ``_tau``.
-
-        No schedule beats the temperature span, which ``saturation``
-        changes first attain, so layers are priced only as far as
-        ``min(cap, saturation)`` changes need.
-        """
-        cap = min(cap, self.max_changes, self.saturation)
-        self._price(cap)
+        smallest change count attaining it, read from ``_tau``."""
+        cap = min(cap, self.max_changes)
+        self._price()
         value = min(self._tau[1 : cap + 1])
         return value, self._tau.index(value, 1)
 
@@ -390,7 +376,7 @@ class SearchGraph:
         orientations break ties toward increasing order, so outputs are
         deterministic.
         """
-        self._price(max(changes))
+        self._price()
         jobs = {}
         for k in set(changes):
             target = self._tau[k]
@@ -450,13 +436,17 @@ class SearchGraph:
         return [job for block in blocks for job in block]
 
     def _reconstruct_two_blocks(self, target: int) -> list[Job]:
-        for first, second in (self._jobs, self._jobs[::-1]):
-            for first_rev in (False, True):
-                for second_rev in (False, True):
-                    seq = list(first[::-1] if first_rev else first)
-                    seq += list(second[::-1] if second_rev else second)
-                    if total_temperature_change(seq) == target:
-                        return seq
+        """The first layout of two sorted blocks costing ``target``: color
+        0's first, then color 1's, each with its first block up, then down,
+        and within that its second.  A layout costs both spans plus the
+        junction of its end temperatures, so only the one returned is built.
+        """
+        t, spans = self._t, int(self._entry[0][-1] + self._entry[1][-1])
+        for c, o in _PAIRS:
+            for end, first in ((-1, 1), (0, -1)):  # up ends at the last job
+                for start, second in ((0, 1), (-1, -1)):
+                    if spans + abs(int(t[c][end] - t[o][start])) == target:
+                        return [*self._jobs[c][::first], *self._jobs[o][::second]]
         raise AssertionError("no two-block layout matches the target distance")
 
 
@@ -635,7 +625,9 @@ def build_search_graph(instance: Instance, max_color_changes: int) -> SearchGrap
     """Construct the layered graph for a two-color instance.
 
     The budget must be at least 1; it is clamped to the achievable
-    maximum before layers are laid out.
+    maximum.  The first query prices every layer up to it in one pass, so
+    callers size it by :func:`saturation_changes`, past which no layer
+    lowers an optimum.
     """
     if len(instance.colors) != 2:
         raise ValidationError("search graph requires exactly two colors")

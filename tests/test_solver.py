@@ -379,7 +379,7 @@ class TestParetoSweep:
         full = build_search_graph(instance, max_merged_color_changes(instance))
         table = pareto_table(instance, [None, *full.layer_target_distances()])
         span = temperature_span(instance.jobs)
-        assert full.saturation == next(k for k, value in table if value == span)
+        assert solver.saturation_changes(instance) == next(k for k, value in table if value == span)
         assert pareto_sweep(instance) == table
 
     def test_table_is_invariant_at_300_per_color(self):
@@ -498,51 +498,70 @@ class TestCheckpoints:
         assert sizes.count(("empty", cells)) == 6
         assert sorted(relaxed) == [(2, 0), (2, 1)]
 
-    def test_a_kernel_with_scratch_adds_one_spare_per_chain(self, monkeypatch):
-        sizes = []
-        log_allocations(monkeypatch, sizes)
-        monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: FORCED_PLANS["doubling"])
-        graph = build_search_graph(forty_thirty(), 9)
-        graph.layer_target_distances()
-        assert sizes.count(("empty", 40 * 30)) == 8  # two chains of three grid buffers and one mask
-        assert [len(work) for work in graph._work] == [4, 4]
+    def test_a_kernel_with_scratch_adds_one_spare_per_chain(self):
+        # The pass allocates every buffer before its first relax: two grid
+        # buffers and a mask per chain, and a spare per chain if and only if
+        # a planned run's kernel needs scratch.  The last plan is patched
+        # to block a 40+30 curve's bands down to 20 wide and double below.
+        instance, cells = forty_thirty(), 40 * 30
+        top = max_merged_color_changes(instance)
+        real_relax = solver.SearchGraph._relax
+        for name in (*FORCED_PLANS, "blocked, then doubling"):
+            events = []
+            with pytest.MonkeyPatch.context() as mp:
+                if name in FORCED_PLANS:
+                    mp.setattr(solver, "pass_plan", lambda width, cpus, p=FORCED_PLANS[name]: p)
+                else:
+                    mp.setattr(solver, "_DOUBLING_FROM", 1)
+                    mp.setattr(solver, "_BLOCKED_FROM", 20)
+                log_allocations(mp, events)
+                mp.setattr(
+                    solver.SearchGraph,
+                    "_relax",
+                    lambda graph, layer, c, prev, kernel, work: events.append(("relax", kernel, len(work)))
+                    or real_relax(graph, layer, c, prev, kernel, work),
+                )
+                build_search_graph(instance, top).layer_target_distances()
+            relaxes = [event for event in events if event[0] == "relax"]
+            scratch = any(kernel not in solver._SCRATCH_FREE for _, kernel, _ in relaxes)
+            assert scratch == (name in ("doubling", "blocked, then doubling")), name
+            buffers = [i for i, event in enumerate(events) if event == ("empty", cells)]
+            assert len(buffers) == 6 + 2 * scratch and buffers[-1] < events.index(relaxes[0]), name
+            assert {size for _, _, size in relaxes} == {3 + scratch}, name
 
-    def test_spares_come_with_the_first_doubling_run(self, monkeypatch):
+    def test_a_mixed_plan_switches_kernels_without_changing_answers(self, monkeypatch):
         # With the thresholds patched low, the bands of a 40+30 curve take
         # the blocked kernel down to 20 wide and the doubling kernel below.
-        # Each chain's spare is allocated once, after the blocked runs have
-        # relaxed and before the first doubling relax.
-        instance, cells = forty_thirty(), 40 * 30
+        # The pass switches kernels once, and every exact-k value and batch
+        # schedule equals a forced-accumulate graph's.
+        instance = forty_thirty()
         top = max_merged_color_changes(instance)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "pass_plan", lambda width, cpus: FORCED_PLANS["accumulate"])
             reference = build_search_graph(instance, top)
             expected = reference.layer_target_distances(), reference.solve_many(range(1, top + 1))
-        events = []
+        kernels = []
         real_relax = solver.SearchGraph._relax
 
         def relax(graph, layer, c, prev, kernel, work):
-            events.append(("relax", kernel))
+            kernels.append(kernel)
             return real_relax(graph, layer, c, prev, kernel, work)
 
         monkeypatch.setattr(solver, "_DOUBLING_FROM", 1)
         monkeypatch.setattr(solver, "_BLOCKED_FROM", 20)
-        log_allocations(monkeypatch, events)
         monkeypatch.setattr(solver.SearchGraph, "_relax", relax)
         graph = build_search_graph(instance, top)
         answers = graph.layer_target_distances(), graph.solve_many(range(1, top + 1))
         assert answers == expected
-        kernels = [kernel for event, kernel in events if event == "relax"]
         switch = kernels.index(solver._doubling_minimum)
         assert 0 < switch and set(kernels[:switch]) == {solver._blocked_minimum}
         assert set(kernels[switch:]) == {solver._doubling_minimum}
-        buffers = [i for i, event in enumerate(events) if event == ("empty", cells)]
-        first_doubling = events.index(("relax", solver._doubling_minimum))
-        assert len(buffers) == 8 and buffers[5] < events.index(("relax", solver._blocked_minimum))
-        assert buffers[6:] == [first_doubling - 2, first_doubling - 1]
 
     def test_reconstruction_relaxes_no_grid(self, monkeypatch):
-        # Walks read only the decision bits and last rows the pass kept.
+        # The first query prices every layer in one pass, whatever it asks,
+        # and the graph then drops its weights, grids and buffers.  Walks
+        # and later queries read only the targets, decision bits and last
+        # rows the pass kept, so no query after the first relaxes a grid.
         rng = random.Random(40)
         temps = rng.sample(range(1, 1000), 80)
         instance = make_two_color(temps[:40], temps[40:])
@@ -552,13 +571,45 @@ class TestCheckpoints:
             solver.SearchGraph, "_relax", lambda *a, **kw: calls.append(a[1:3]) or real_relax(*a, **kw)
         )
         table, solve = pareto_front(instance)
+        graph, capped = solve.__self__, build_search_graph(instance, 12)
         priced = len({layer for layer, _ in calls}) + 1  # the pass relaxes every layer from 2 up
+        assert priced == graph.max_changes - 1
+        calls.clear()
+        assert capped.best_under_cap(1)[1] == 1
+        assert sorted(calls) == [(layer, c) for layer in range(2, 12) for c in (0, 1)]
         budgets = [k for k, value in table if value is not None]
         calls.clear()
         results = solve(budgets)
+        graph.layer_target_distances()
+        graph.reconstruct([1, graph.max_changes])
+        capped.layer_target_distances()
+        capped.solve_many(range(1, 13))
         assert calls == []
+        for priced_graph in (graph, capped):
+            assert not {"_into", "_work", "_grids"} & vars(priced_graph).keys()
         assert len({result.changes for result in results}) > priced // 2
         assert results == [shortest_schedule(instance, k) for k in budgets]
+
+    @given(job_records(min_colors=2, max_colors=2, max_jobs=16, max_temp=60))
+    @example([("w1", 3, 0), ("w2", 5, 0), ("b1", 0, 1), ("b2", 10, 1)])  # second block either way
+    @example([("w1", 0, 0), ("w2", 10, 0), ("b1", 2, 1), ("b2", 8, 1)])  # first block either way
+    @settings(max_examples=200, deadline=None)
+    def test_two_block_layouts_are_picked_as_by_enumeration(self, records):
+        # Priced from end temperatures, the two-block reconstruction returns
+        # the first layout of the full enumeration that meets each target.
+        graph = build_search_graph(build_instance(records), 1)
+        layouts = []
+        for first, second in (graph._jobs, graph._jobs[::-1]):
+            for first_rev in (False, True):
+                for second_rev in (False, True):
+                    layouts.append(
+                        list(first[::-1] if first_rev else first) + list(second[::-1] if second_rev else second)
+                    )
+        for target in {total_temperature_change(layout) for layout in layouts}:
+            enumerated = next(layout for layout in layouts if total_temperature_change(layout) == target)
+            assert graph._reconstruct_two_blocks(target) == enumerated
+        with pytest.raises(AssertionError, match="no two-block layout"):
+            graph._reconstruct_two_blocks(-1)
 
     @given(
         st.one_of(
@@ -621,7 +672,7 @@ class TestCheckpoints:
         records += [(f"b{i}", format_temperature(t), 1) for i, t in enumerate(blacks)]
         instance = build_instance(records)
         assert max_merged_color_changes(instance) == 6
-        assert build_search_graph(instance, 1).saturation == 4
+        assert solver.saturation_changes(instance) == 4
         assert (4 + 4) * span <= 1 << 30 < (6 + 4) * span
         picked = []
         real_dtype = solver.grid_dtype
@@ -767,8 +818,14 @@ class TestPassPlan:
         real_relax = solver.SearchGraph._relax
 
         def recording(values, out, spare):
+            # The pass drops its weights when it ends, so they are read here.
             assert all(a.flags.c_contiguous for a in (values, out, spare))
             shapes.append(values.shape)
+            t = graph._t
+            for c, o in ((0, 1), (1, 0)):
+                weights = graph._into[c]
+                assert weights.flags.c_contiguous
+                assert np.array_equal(weights, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
             real_kernel(values, out, spare)
 
         monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (recording, False))
@@ -783,11 +840,6 @@ class TestPassPlan:
         assert relaxed and shapes == [
             (n[c] - _band(layer)[0], n[1 - c] - _band(layer)[1]) for layer, c in relaxed
         ]
-        t = graph._t
-        for c, o in ((0, 1), (1, 0)):
-            weights = graph._into[c]
-            assert weights.flags.c_contiguous
-            assert np.array_equal(weights, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
 
     def test_threaded_pass_relaxes_the_sequential_grids(self, monkeypatch):
         # Both thread counts price layers up to the saturation layer known
