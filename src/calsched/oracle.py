@@ -149,9 +149,13 @@ class OracleResult:
 
 
 def _prepare(instance: Instance) -> tuple[list[int], list[int], list[str]]:
+    """Each job's temperature, color and id.  A color is given as its rank
+    among the instance's colors: labels are any nonnegative ints, and numpy
+    would read labels past ``int64`` as floats, merging some."""
     jobs = instance.jobs
     temps = [job.temperature for job in jobs]
-    colors = [job.color for job in jobs]
+    rank = {color: i for i, color in enumerate(instance.colors)}
+    colors = [rank[job.color] for job in jobs]
     ids = [job.id for job in jobs]
     return temps, colors, ids
 

@@ -59,13 +59,13 @@ The pass is dense numpy work, shaped six ways:
   open color and ``floor((l+1)/2)`` of the other behind it, so only the
   cells past that corner are relaxed and stored, and every other node
   counts as unreachable (``INF``);
-* two buffers with decision bits: a grid is read only to relax the next
-  grid of its chain (see below), so each chain relaxes into two reused
-  buffers, and takes a third as scratch only when a run of the pass uses
-  a kernel that needs one.  For reconstruction the pass keeps, per
-  relaxed grid, one bit per band cell, set when the cell's own
-  predecessor on the layer below attains the cell's running minimum, and
-  the grid's last row, which the exits read.  A walk reads only those, so
+* three buffers with decision bits: a grid is read only to relax the
+  next grid of its chain (see below), so each chain relaxes every layer
+  into the same three buffers: the grid, the sums, and scratch that the
+  kernel may use and that then holds the mask.  For reconstruction the
+  pass keeps, per relaxed grid, one bit per band cell, set when the
+  cell's own predecessor on the layer below attains the cell's running
+  minimum, and the grid's last row, which the exits read.  A walk reads only those, so
   no layer is relaxed twice, and ``K`` layers keep about
   ``K * n0 * n1 / 4`` bytes of bits;
 * narrow: temperatures are shifted so the lowest is 0, which changes no
@@ -82,10 +82,10 @@ The pass is dense numpy work, shaped six ways:
   calls over whole rows; both release the GIL.  A color-c grid reads
   only the color-o grid of the layer below, so the grids form two chains
   by the parity of layer + color, which share no data.  Each chain
-  relaxes a run of layers on its own, on a second thread with a wide band
-  and two usable CPUs, and returns each grid's least exit; the run's
+  relaxes every layer on its own and returns each grid's least exit; the
   targets are recorded from both chains' exits once both have returned.
-  :func:`pass_plan` picks the kernel and the threads from the band width
+  :func:`pass_plan` picks each layer's kernel from its band width, and
+  whether the chains take two threads from layer 2's band, the widest,
   and the usable CPU count.
 
 The magnitude bound that :class:`~calsched.core.Instance` enforces keeps
@@ -95,7 +95,6 @@ enters a band grid.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -120,9 +119,9 @@ from .core import (
 
 _PAIRS = ((0, 1), (1, 0))  # (c, o): each color, then the other one
 
-# A running minimum down the rows: (values, out, spare), all of one shape;
-# a kernel in _SCRATCH_FREE is passed no spare.
-Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray | None], None]
+# A running minimum down the rows: (values, out, scratch), all of one shape;
+# a kernel may overwrite scratch, and must leave values as they were.
+Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 class SearchGraph:
@@ -152,16 +151,14 @@ class SearchGraph:
     :func:`grid_dtype` of every band grid and buffer.
 
     Layer ``l`` stores only its band (see :func:`_band`).  The grid of
-    layer ``l`` and color ``c`` belongs to chain ``p = (l + c) % 2``.
-    During the pass, ``_grids[p]`` is the chain's newest grid, and
-    ``_work[p]`` lists its flat grid and sums buffers, its flat mask buffer
-    and, when a run of the pass needs scratch, a flat spare buffer (see
-    :meth:`_relax`); the pass drops both, and ``_into``, when it ends.
-    ``_bits[l, c]`` and ``_rows[l, c]`` are what reconstruction reads of
-    each grid priced.  ``_tau[k]`` is the optimum with exactly ``k``
-    changes for every ``k`` priced so far (index 0 unused); the number of
-    layers priced is ``len(_tau) - 2``.  ``_cpus`` is the number of CPUs
-    this process may run on, read once for :func:`pass_plan`.
+    layer ``l`` and color ``c`` belongs to chain ``p = (l + c) % 2``.  The
+    pass drops ``_into`` when it ends.  ``_bits[l, c]`` and ``_rows[l, c]``
+    are what reconstruction reads of each grid priced.  ``_tau[k]`` is the
+    optimum with exactly ``k`` changes for every ``k`` priced so far (index
+    0 unused).  ``_layouts`` lists each two-block layout's cost, color
+    first and directions, in the order :meth:`_reconstruct_two_blocks`
+    scans them.  ``_cpus`` is the number of CPUs this process may run on,
+    read once for :func:`pass_plan`.
     """
 
     def __init__(self, instance: Instance, max_changes: int) -> None:
@@ -182,76 +179,67 @@ class SearchGraph:
         )
         self._cpus = _usable_cpus()
         self._bits = {}
-        # One change: both whole colors, joined at the closest pair of ends.
-        borders = min(abs(int(a - b)) for a in t[0][[0, -1]] for b in t[1][[0, -1]])
-        tau1 = int(self._entry[0][-1] + self._entry[1][-1]) + borders
-        self._tau = [INF, tau1]
+        # One change: both whole colors, each up or down, joined at the
+        # junction of their end temperatures.
+        spans = int(self._entry[0][-1] + self._entry[1][-1])
+        self._layouts = [
+            (spans + abs(int(t[c][end] - t[o][start])), c, first, second)
+            for c, o in _PAIRS
+            for end, first in ((-1, 1), (0, -1))  # up ends at the last job
+            for start, second in ((0, 1), (-1, -1))
+        ]
         # Layer 1: its grids are entry grids, read only by their last row.
         self._rows = {(1, c): self._entry_grid(c)[-1] for c in (0, 1)}
-        self._record([self._exits(1, 0).min(initial=INF)], [self._exits(1, 1).min(initial=INF)])
+        tau2 = min(self._exits(1, c).min(initial=INF) for c in (0, 1))
+        self._tau = [INF, min(layout[0] for layout in self._layouts), int(tau2)]
 
     # -- dense distance computation ------------------------------------
 
     def _price(self) -> None:
-        """Price every layer up to the budget in one pass, on the first call.
+        """Price layers 2 to ``max_changes - 1`` in one pass, on the first call.
 
-        The calling thread first allocates all that the runs of
-        :meth:`_plan` use: the ``_into`` weights, c's jobs down and o's
-        jobs across, and each chain's ``_work``, with a spare buffer only
-        if a run's kernel is not in ``_SCRATCH_FREE``.  Each parity chain
-        relaxes a run on its own, on a thread of its own when the plan says
-        so, and returns its grids' least exits for :meth:`_record`.  Then
-        the weights, grids and buffers are dropped.
+        Each layer's kernel comes from :func:`pass_plan` for its band
+        width, and whether the chains take two threads from the plan for
+        layer 2, whose band is the widest.  The calling thread first
+        allocates all that the pass uses: the ``_into`` weights, c's jobs
+        down and o's jobs across, and three flat buffers of ``n0 * n1``
+        cells a chain (see :meth:`_relax`).  Each parity chain then relaxes
+        every layer on its own, and the target of ``layer + 1`` changes is
+        the lesser of the two chains' least exits of that layer.  Then the
+        weights and buffers are dropped.
         """
         if len(self._tau) > self.max_changes:
             return
-        runs, size = self._plan(len(self._tau) - 1), self._n[0] * self._n[1]
+        short, size = min(self._n), self._n[0] * self._n[1]
+        kernels = [pass_plan(short - _band(layer)[0], self._cpus)[0] for layer in range(2, self.max_changes)]
         t = tuple(tc.astype(self._dtype) for tc in self._t)
         self._into = tuple(_junctions(t[o][None, :], t[c][:, None]) for c, o in _PAIRS)
-        scratch = any(kernel not in _SCRATCH_FREE for _, kernel, _ in runs)
-        # Per chain: the grid, sums and mask buffers, then the spare if any.
-        dtypes = (self._dtype, self._dtype, np.bool_, self._dtype)[: 3 + scratch]
-        self._work = tuple([np.empty(size, dtype) for dtype in dtypes] for _ in (0, 1))
-        # Layer 1: chain p's grid has color 1 - p.
-        self._grids = [self._entry_grid(1 - p) for p in (0, 1)]
-        for layers, kernel, threaded in runs:
-            if threaded:
-                lows = _on_two_threads(lambda p, stop: self._advance(p, layers, kernel, stop))
-            else:
-                lows = [self._advance(p, layers, kernel, threading.Event()) for p in (0, 1)]
-            self._record(*lows)
-        del self._into, self._grids, self._work
+        work = [[np.empty(size, self._dtype) for _ in range(3)] for _ in (0, 1)]
 
-    def _record(self, lows0: list, lows1: list) -> None:
-        """Append to ``_tau`` the target of ``layer + 1`` changes for each
-        layer of a run in order: the lesser of the least exits that chains
-        0 and 1 returned for the layer's two grids."""
-        for low0, low1 in zip(lows0, lows1):
-            self._tau.append(int(min(low0, low1)))
+        def chain(p: int, stop: threading.Event) -> list:
+            return self._advance(p, kernels, work[p], stop)
 
-    def _advance(self, p: int, layers: list[int], kernel: Kernel, stop: threading.Event) -> list:
-        """Relax chain ``p``'s grids of ``layers`` until ``stop`` is set, and
-        return each grid's least exit.  Chains call nothing that
-        ``perfbench/tracing.py`` wraps, since its span stack is not
+        if pass_plan(short - _band(2)[0], self._cpus)[1]:
+            lows = _on_two_threads(chain)
+        else:
+            lows = [chain(p, threading.Event()) for p in (0, 1)]
+        self._tau += [int(min(low0, low1)) for low0, low1 in zip(*lows)]
+        del self._into
+
+    def _advance(self, p: int, kernels: list[Kernel], work: list[np.ndarray], stop: threading.Event) -> list:
+        """Relax chain ``p``'s grids from layer 2 up, layer ``l`` by
+        ``kernels[l - 2]`` into the chain's buffers ``work``, until ``stop``
+        is set, and return each grid's least exit.  Chains call nothing
+        that ``perfbench/tracing.py`` wraps, since its span stack is not
         thread-safe."""
-        lows = []
-        for layer in layers:
+        grid, lows = self._entry_grid(1 - p), []  # layer 1: chain p's grid has color 1 - p
+        for layer, kernel in enumerate(kernels, 2):
             if stop.is_set():
                 break
             c = (p + layer) % 2
-            self._grids[p] = self._relax(layer, c, self._grids[p], kernel, self._work[p])
+            grid = self._relax(layer, c, grid, kernel, work)
             lows.append(self._exits(layer, 1 - c).min(initial=INF))
         return lows
-
-    def _plan(self, first: int) -> list[tuple[list[int], Kernel, bool]]:
-        """Every layer from ``first`` to ``max_changes - 1``, as runs of
-        consecutive layers whose band widths keep one :func:`pass_plan`,
-        each with that plan's kernel and threads."""
-        short = min(self._n)
-        plans = itertools.groupby(
-            range(first, self.max_changes), lambda layer: pass_plan(short - _band(layer)[0], self._cpus)
-        )
-        return [(list(layers), *plan) for plan, layers in plans]
 
     def _entry_grid(self, c: int) -> np.ndarray:
         """Layer 1's color-c grid: an entry block of the other color's jobs
@@ -287,18 +275,19 @@ class SearchGraph:
         minimum.  ``_rows[layer, c]`` is the grid's last row, which the exits
         read.
 
-        ``work`` is the chain's flat grid, sums and mask buffers, and its
-        spare buffer if :meth:`_price` allocated one.  ``paths`` always goes
-        into the sums buffer.  ``prev`` lies in the grid buffer, or is layer
-        1's broadcast view, and is dead once ``paths`` is added, so the
-        kernel writes the grid over it.  Only a kernel that needs scratch is passed
-        the spare.
+        ``work`` is the chain's flat grid, sums and scratch buffers, all of
+        the grid dtype.  ``paths`` goes into the sums buffer.  ``prev`` lies
+        in the grid buffer, or is layer 1's broadcast view, and is dead once
+        ``paths`` is added, so the kernel writes the grid over it.  The
+        kernel may use the scratch buffer, and once it is done the mask is a
+        bool view of that buffer's first ``h * w`` bytes.
         """
         a, b = _band(layer)
         h, w = self._n[c] - a, self._n[1 - c] - b
-        grid, paths, mask, *spare = (flat[: h * w].reshape(h, w) for flat in work)
+        grid, paths, scratch = (flat[: h * w].reshape(h, w) for flat in work)
         np.add(prev.T[:h, :w], self._into[c][a:, b:], out=paths)
-        kernel(paths, grid, *spare)
+        kernel(paths, grid, scratch)
+        mask = work[2].view(np.bool_)[: h * w].reshape(h, w)
         np.equal(paths, grid, out=mask)
         self._bits[layer, c] = np.packbits(mask.reshape(-1), bitorder="little")
         self._rows[layer, c] = grid[-1].copy()
@@ -340,9 +329,9 @@ class SearchGraph:
         Budgets whose optimum uses the same change count share one result,
         and all of them come from a single :meth:`reconstruct` call.
         The schedule's metrics are recomputed from its job sequence, over
-        ``int64`` arrays of its temperatures and colors, so the reported
-        value always equals the realized one; on a mismatch, the error
-        names the core functions' recount.
+        an ``int64`` array of its temperatures and a bool array of its
+        colors, so the reported value always equals the realized one; on a
+        mismatch, the error names the core functions' recount.
         """
         optima = [self.best_under_cap(budget) for budget in budgets]
         values = {changes: value for value, changes in optima}
@@ -350,9 +339,11 @@ class SearchGraph:
         for changes, jobs in zip(values, self.reconstruct(list(values)) if values else []):
             value = values[changes]
             temps = np.fromiter([job.temperature for job in jobs], np.int64, len(jobs))
-            colors = np.fromiter([job.color for job in jobs], np.int64, len(jobs))
+            # Color labels are any ints, so only their equality to the first
+            # job's color is converted; with two colors that keeps every switch.
+            firsts = np.fromiter([job.color == jobs[0].color for job in jobs], np.bool_, len(jobs))
             realized = int(np.abs(np.diff(temps)).sum())
-            switches = int(np.count_nonzero(np.diff(colors)))
+            switches = int(np.count_nonzero(np.diff(firsts)))
             if (realized, switches) != (value, changes):
                 raise AssertionError(
                     f"reconstruction mismatch: path {value}/{changes}, "
@@ -438,15 +429,12 @@ class SearchGraph:
     def _reconstruct_two_blocks(self, target: int) -> list[Job]:
         """The first layout of two sorted blocks costing ``target``: color
         0's first, then color 1's, each with its first block up, then down,
-        and within that its second.  A layout costs both spans plus the
-        junction of its end temperatures, so only the one returned is built.
+        and within that its second.  ``_layouts`` holds each layout's cost,
+        so only the one returned is built.
         """
-        t, spans = self._t, int(self._entry[0][-1] + self._entry[1][-1])
-        for c, o in _PAIRS:
-            for end, first in ((-1, 1), (0, -1)):  # up ends at the last job
-                for start, second in ((0, 1), (-1, -1)):
-                    if spans + abs(int(t[c][end] - t[o][start])) == target:
-                        return [*self._jobs[c][::first], *self._jobs[o][::second]]
+        for cost, c, first, second in self._layouts:
+            if cost == target:
+                return [*self._jobs[c][::first], *self._jobs[1 - c][::second]]
         raise AssertionError("no two-block layout matches the target distance")
 
 
@@ -505,23 +493,23 @@ def pass_plan(width: int, cpus: int) -> tuple[Kernel, bool]:
     return kernel, cpus >= 2 and width >= _THREADS_FROM
 
 
-def _accumulate_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None) -> None:
+def _accumulate_minimum(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Running minimum down the rows of ``values`` into ``out`` by numpy's
     ``minimum.accumulate``: one strided scalar loop per column.  It needs
-    no scratch, so the pass passes no ``spare``."""
+    no scratch."""
     np.minimum.accumulate(values, axis=0, out=out)
 
 
-def _doubling_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) -> None:
+def _doubling_minimum(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Running minimum down the rows of ``values`` into ``out``, in about
     ``2 * log2(rows)`` calls over whole arrays; ``values`` is left as it
-    was and ``spare`` is overwritten.
+    was and ``scratch`` is overwritten.
 
     After the step with offset ``d`` (1, 2, 4, ... below ``rows``), row
     ``r`` holds the minimum of the ``2 * d`` rows up to ``r``: it takes the
     minimum with row ``r - d`` of the step before, and the first ``d`` rows
     are already final.  Each step writes into the buffer the step before
-    did not, alternating between ``out`` and ``spare``, and the parity of
+    did not, alternating between ``out`` and ``scratch``, and the parity of
     the step count picks the first so that the last writes ``out``.
     """
     rows = len(values)
@@ -529,7 +517,7 @@ def _doubling_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) ->
     if not steps:
         out[...] = values
         return
-    targets = (out, spare) if steps % 2 else (spare, out)
+    targets = (out, scratch) if steps % 2 else (scratch, out)
     source, d = values, 1
     for step in range(steps):
         target = targets[step % 2]
@@ -538,10 +526,9 @@ def _doubling_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray) ->
         source, d = target, 2 * d
 
 
-def _blocked_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray | None = None) -> None:
+def _blocked_minimum(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
     """Running minimum down the rows of the C-contiguous ``values``, into
-    the C-contiguous ``out`` of the same shape.  It needs no scratch, so
-    the pass passes no ``spare``.
+    the C-contiguous ``out`` of the same shape.  It needs no scratch.
 
     ``minimum.accumulate`` along axis 0 runs one strided scalar loop per
     column and holds the GIL when a column has 500 or fewer cells.  Here
@@ -564,11 +551,6 @@ def _blocked_minimum(values: np.ndarray, out: np.ndarray, spare: np.ndarray | No
     np.minimum(blocks[1:, :-1], blocks[:-1, -1:], out=blocks[1:, :-1])
     for r in range(count * size, rows):
         np.minimum(out[r - 1], values[r], out=out[r])
-
-
-# Kernels that write only ``out``: a chain whose runs use only these never
-# allocates a spare buffer (see SearchGraph._plan).
-_SCRATCH_FREE = frozenset({_accumulate_minimum, _blocked_minimum})
 
 
 def _usable_cpus() -> int:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import random
 import re
@@ -244,6 +246,51 @@ class TestVerify:
         inst = make_two_color([1, 4], [2])
         with pytest.raises(ValidationError):
             verify_schedule(inst, ["w1", "w2"])
+
+
+# Color labels at and past the int64 bound.
+LARGE_COLOR = 1 << 63
+
+
+@st.composite
+def relabelled_records(draw):
+    """Two- or three-color records over colors 0 .. k-1, and k distinct
+    labels in increasing order, at least one of them ``LARGE_COLOR`` or
+    more, to put in their place."""
+    records = draw(job_records(min_colors=2, max_colors=3, max_jobs=9, max_temp=9))
+    count = 1 + max(color for _, _, color in records)
+    label = st.one_of(
+        st.integers(0, 9), st.integers(LARGE_COLOR - 2, LARGE_COLOR + 2), st.integers(LARGE_COLOR, 1 << 128)
+    )
+    labels = draw(
+        st.lists(label, min_size=count, max_size=count, unique=True).filter(lambda ls: max(ls) >= LARGE_COLOR)
+    )
+    return records, sorted(labels)
+
+
+@pytest.fixture(scope="module")
+def label_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("labels")
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled=relabelled_records(), budget=st.integers(0, 8))
+def test_colors_are_labels(label_dir, relabelled, budget):
+    # Only the order of color labels matters: solve and sweep print the
+    # same bytes for any labels in the same order, however large.
+    records, labels = relabelled
+    outputs = []
+    for name, label in (("plain", lambda color: color), ("labelled", labels.__getitem__)):
+        path = label_dir / f"{name}.csv"
+        path.write_text("".join(f"{i},{t},{label(c)}\n" for i, t, c in records), encoding="utf-8")
+        for argv in (["solve", "--max-color-changes", str(budget)], ["sweep"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([argv[0], "--input", str(path), *argv[1:]])
+            outputs.append((name, argv[0], code, out.getvalue()))
+    plain, labelled = outputs[:2], outputs[2:]
+    assert [output[1:] for output in labelled] == [output[1:] for output in plain]
+    assert {code for _, _, code, _ in plain} <= {0, 2}
 
 
 class TestCli:

@@ -1,7 +1,6 @@
 import hashlib
 import heapq
 import itertools
-import math
 import random
 import threading
 
@@ -56,13 +55,14 @@ def forty_thirty():
 
 
 def log_allocations(monkeypatch, log):
-    """Patch ``np.empty`` to append ``("empty", cells)`` to ``log`` for
-    each array it allocates."""
+    """Patch ``np.empty`` to append ``("empty", cells, dtype)`` to ``log``
+    for each array it allocates."""
     real_empty = np.empty
 
     def recording_empty(shape, *args, **kwargs):
-        log.append(("empty", math.prod(np.atleast_1d(shape))))
-        return real_empty(shape, *args, **kwargs)
+        array = real_empty(shape, *args, **kwargs)
+        log.append(("empty", array.size, array.dtype))
+        return array
 
     monkeypatch.setattr(np, "empty", recording_empty)
 
@@ -491,21 +491,27 @@ class TestCheckpoints:
         graph = build_search_graph(instance, 2)
         assert None not in graph.layer_target_distances()
         assert all(result.feasible for result in graph.solve_many([1, 2]))
-        assert ("empty", cells) not in sizes and relaxed == []
+        assert not [event for event in sizes if event[1] == cells] and relaxed == []
         assert shortest_schedule(instance, 3).feasible
-        # 30 wide, the bands take the accumulate kernel, which needs no
-        # spare: two chains of two grid buffers and one mask.
-        assert sizes.count(("empty", cells)) == 6
+        # Two chains of three int32 buffers: grid, sums and scratch.
+        assert [event for event in sizes if event[1] == cells] == [("empty", cells, np.dtype(np.int32))] * 6
         assert sorted(relaxed) == [(2, 0), (2, 1)]
 
-    def test_a_kernel_with_scratch_adds_one_spare_per_chain(self):
-        # The pass allocates every buffer before its first relax: two grid
-        # buffers and a mask per chain, and a spare per chain if and only if
-        # a planned run's kernel needs scratch.  The last plan is patched
-        # to block a 40+30 curve's bands down to 20 wide and double below.
+    def test_every_plan_allocates_three_buffers_a_chain(self):
+        # The pass allocates every buffer before its first relax: the
+        # weights, and three flat buffers of the grid dtype a chain, whatever
+        # kernels its layers take; the mask is a view of the third.  The
+        # last plan is patched to block a 40+30 curve's bands down to 20
+        # wide and double below.
         instance, cells = forty_thirty(), 40 * 30
         top = max_merged_color_changes(instance)
         real_relax = solver.SearchGraph._relax
+
+        def relax(graph, layer, c, prev, kernel, work):
+            shapes = frozenset((flat.size, flat.dtype) for flat in work)
+            events.append(("relax", kernel, len(work), shapes, "_into" in vars(graph)))
+            return real_relax(graph, layer, c, prev, kernel, work)
+
         for name in (*FORCED_PLANS, "blocked, then doubling"):
             events = []
             with pytest.MonkeyPatch.context() as mp:
@@ -515,36 +521,39 @@ class TestCheckpoints:
                     mp.setattr(solver, "_DOUBLING_FROM", 1)
                     mp.setattr(solver, "_BLOCKED_FROM", 20)
                 log_allocations(mp, events)
-                mp.setattr(
-                    solver.SearchGraph,
-                    "_relax",
-                    lambda graph, layer, c, prev, kernel, work: events.append(("relax", kernel, len(work)))
-                    or real_relax(graph, layer, c, prev, kernel, work),
-                )
-                build_search_graph(instance, top).layer_target_distances()
-            relaxes = [event for event in events if event[0] == "relax"]
-            scratch = any(kernel not in solver._SCRATCH_FREE for _, kernel, _ in relaxes)
-            assert scratch == (name in ("doubling", "blocked, then doubling")), name
-            buffers = [i for i, event in enumerate(events) if event == ("empty", cells)]
-            assert len(buffers) == 6 + 2 * scratch and buffers[-1] < events.index(relaxes[0]), name
-            assert {size for _, _, size in relaxes} == {3 + scratch}, name
+                mp.setattr(solver.SearchGraph, "_relax", relax)
+                graph = build_search_graph(instance, top)
+                graph.layer_target_distances()
+            dtype = np.dtype(graph._dtype)
+            first = next(i for i, event in enumerate(events) if event[0] == "relax")
+            buffers = [event for event in events[:first] if event[1] == cells]
+            assert buffers == [("empty", cells, dtype)] * 6, name
+            relaxes = events[first:]
+            assert all(event[0] == "relax" for event in relaxes), name
+            assert {event[2:] for event in relaxes} == {(3, frozenset({(cells, dtype)}), True)}, name
+            if name in FORCED_PLANS:
+                kernels = {FORCED_PLANS[name][0]}
+            else:
+                kernels = {solver._blocked_minimum, solver._doubling_minimum}
+            assert {event[1] for event in relaxes} == kernels, name
 
     def test_a_mixed_plan_switches_kernels_without_changing_answers(self, monkeypatch):
         # With the thresholds patched low, the bands of a 40+30 curve take
         # the blocked kernel down to 20 wide and the doubling kernel below.
-        # The pass switches kernels once, and every exact-k value and batch
-        # schedule equals a forced-accumulate graph's.
+        # Each chain relaxes its layers in order and switches kernels once,
+        # at the same layer as the other chain, and every exact-k value and
+        # batch schedule equals a forced-accumulate graph's.
         instance = forty_thirty()
         top = max_merged_color_changes(instance)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "pass_plan", lambda width, cpus: FORCED_PLANS["accumulate"])
             reference = build_search_graph(instance, top)
             expected = reference.layer_target_distances(), reference.solve_many(range(1, top + 1))
-        kernels = []
+        chains = ([], [])
         real_relax = solver.SearchGraph._relax
 
         def relax(graph, layer, c, prev, kernel, work):
-            kernels.append(kernel)
+            chains[(layer + c) % 2].append((layer, kernel))
             return real_relax(graph, layer, c, prev, kernel, work)
 
         monkeypatch.setattr(solver, "_DOUBLING_FROM", 1)
@@ -553,13 +562,63 @@ class TestCheckpoints:
         graph = build_search_graph(instance, top)
         answers = graph.layer_target_distances(), graph.solve_many(range(1, top + 1))
         assert answers == expected
-        switch = kernels.index(solver._doubling_minimum)
-        assert 0 < switch and set(kernels[:switch]) == {solver._blocked_minimum}
-        assert set(kernels[switch:]) == {solver._doubling_minimum}
+        switches = set()
+        for chain in chains:
+            layers, kernels = zip(*chain)
+            assert list(layers) == list(range(2, top))
+            switch = kernels.index(solver._doubling_minimum)
+            assert 0 < switch and set(kernels[:switch]) == {solver._blocked_minimum}
+            assert set(kernels[switch:]) == {solver._doubling_minimum}
+            switches.add(switch)
+        assert len(switches) == 1
+
+    def test_a_threaded_pass_keeps_its_threads_below_the_crossover(self, monkeypatch):
+        # With the thresholds patched low, a 40+30 curve's layer-2 band, 29
+        # wide, would take the blocked kernel on two threads, and its bands
+        # below 20 wide the doubling kernel on one.  The pass decides its
+        # threads once, from layer 2: one _on_two_threads call and one
+        # worker thread, which relaxes with both kernels.  Its targets, bits
+        # and batch schedules equal those of a pass on one usable CPU, which
+        # starts no thread.
+        instance = forty_thirty()
+        top = max_merged_color_changes(instance)
+        monkeypatch.setattr(solver, "_DOUBLING_FROM", 1)
+        monkeypatch.setattr(solver, "_BLOCKED_FROM", 20)
+        monkeypatch.setattr(solver, "_THREADS_FROM", 20)
+        calls, started, relaxed = [], [], set()
+        real_on_two_threads, real_start = solver._on_two_threads, threading.Thread.start
+        real_relax = solver.SearchGraph._relax
+
+        def relax(graph, layer, c, prev, kernel, work):
+            relaxed.add((kernel, threading.current_thread() is threading.main_thread()))
+            return real_relax(graph, layer, c, prev, kernel, work)
+
+        monkeypatch.setattr(
+            solver, "_on_two_threads", lambda chain: calls.append(chain) or real_on_two_threads(chain)
+        )
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: started.append(thread) or real_start(thread)
+        )
+        monkeypatch.setattr(solver.SearchGraph, "_relax", relax)
+        kernels = {solver._blocked_minimum, solver._doubling_minimum}
+        answers = {}
+        for cpus in (2, 1):
+            calls.clear(), started.clear(), relaxed.clear()
+            monkeypatch.setattr(solver, "_usable_cpus", lambda cpus=cpus: cpus)
+            graph = build_search_graph(instance, top)
+            answers[cpus] = (
+                graph.layer_target_distances(),
+                {key: bits.tobytes() for key, bits in graph._bits.items()},
+                graph.solve_many(range(1, top + 1)),
+            )
+            threads = (True, False) if cpus == 2 else (True,)
+            assert relaxed == set(itertools.product(kernels, threads)), cpus
+            assert (len(calls), len(started)) == ((1, 1) if cpus == 2 else (0, 0)), cpus
+        assert answers[2] == answers[1]
 
     def test_reconstruction_relaxes_no_grid(self, monkeypatch):
         # The first query prices every layer in one pass, whatever it asks,
-        # and the graph then drops its weights, grids and buffers.  Walks
+        # and the graph then drops its weights.  Walks
         # and later queries read only the targets, decision bits and last
         # rows the pass kept, so no query after the first relaxes a grid.
         rng = random.Random(40)
@@ -586,7 +645,7 @@ class TestCheckpoints:
         capped.solve_many(range(1, 13))
         assert calls == []
         for priced_graph in (graph, capped):
-            assert not {"_into", "_work", "_grids"} & vars(priced_graph).keys()
+            assert "_into" not in vars(priced_graph)
         assert len({result.changes for result in results}) > priced // 2
         assert results == [shortest_schedule(instance, k) for k in budgets]
 
@@ -707,8 +766,8 @@ class TestCheckpoints:
 
     def test_500_solve_peak_memory(self):
         # A 500+500 solve at budget 50 in a fresh process, near 39 MB: the
-        # pass keeps decision bits, not grids, and its blocked kernel needs
-        # no spare grid buffer.  Keeping every
+        # pass keeps decision bits, not grids, and its blocked kernel leaves
+        # each chain's scratch buffer untouched past the mask.  Keeping every
         # ceil(sqrt(K))-th grid layer for the walks instead reads 58 MB.
         peak_mb = child_peak_rss_mb(
             """
@@ -752,7 +811,7 @@ class TestPassPlan:
         rng = np.random.default_rng(rows)
         values = rng.integers(-1000, 1000, size=(rows, 7)).astype(dtype)
         grid = np.empty_like(values)
-        solver._blocked_minimum(values, grid)
+        solver._blocked_minimum(values, grid, np.empty_like(values))
         assert grid.dtype == dtype
         assert np.array_equal(grid, np.minimum.accumulate(values, axis=0))
 
@@ -760,23 +819,24 @@ class TestPassPlan:
     def test_blocked_minimum_on_a_view_into_a_flat_buffer(self, dtype):
         # As in the pass: from a band at the front of one flat buffer into
         # a band grid at the front of another, whose tail must stay
-        # untouched, and leaving the sums as they were.
+        # untouched, and leaving the sums and the scratch as they were.
         sums = np.full(23 * 11 + 5, 5555, dtype=dtype)
         values = sums[: 19 * 11].reshape(19, 11)
         values[...] = np.random.default_rng(3).integers(-500, 500, size=(19, 11))
         before = values.copy()
         buffer = np.full(23 * 11 + 5, 7777, dtype=dtype)
         grid = buffer[: 19 * 11].reshape(19, 11)
-        solver._blocked_minimum(values, grid)
+        scratch = np.full(23 * 11 + 5, 3333, dtype=dtype)
+        solver._blocked_minimum(values, grid, scratch[: 19 * 11].reshape(19, 11))
         assert np.array_equal(grid, np.minimum.accumulate(before, axis=0))
         assert np.array_equal(values, before)
-        assert (buffer[19 * 11 :] == 7777).all()
+        assert (buffer[19 * 11 :] == 7777).all() and (scratch == 3333).all()
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("rows", [0, 1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 100, 101])
     def test_doubling_minimum_equals_accumulate(self, dtype, rows):
         # Both parities of the step count ((rows - 1).bit_length()) must
-        # end in out, not in spare.
+        # end in out, not in scratch.
         rng = np.random.default_rng(rows)
         values = rng.integers(-1000, 1000, size=(rows, 7)).astype(dtype)
         before = values.copy()
@@ -789,16 +849,16 @@ class TestPassPlan:
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     @pytest.mark.parametrize("rows", [8, 9])
     def test_doubling_minimum_on_views_into_three_flat_buffers(self, dtype, rows):
-        # As in the pass: the sums, the grid and the spare are bands at the
-        # front of a chain's three flat buffers.  The sums stay as they
-        # were, and the tails past the band in the grid and spare buffers
+        # As in the pass: the sums, the grid and the scratch are bands at
+        # the front of a chain's three flat buffers.  The sums stay as they
+        # were, and the tails past the band in the grid and scratch buffers
         # stay untouched.
         size = rows * 11
         flats = [np.full(23 * 11 + 5, fill, dtype=dtype) for fill in (5555, 7777, 3333)]
-        values, grid, spare = (flat[:size].reshape(rows, 11) for flat in flats)
+        values, grid, scratch = (flat[:size].reshape(rows, 11) for flat in flats)
         values[...] = np.random.default_rng(rows).integers(-500, 500, size=(rows, 11))
         before = values.copy()
-        solver._doubling_minimum(values, grid, spare)
+        solver._doubling_minimum(values, grid, scratch)
         assert np.array_equal(grid, np.minimum.accumulate(before, axis=0))
         assert np.array_equal(values, before)
         assert (flats[0][size:] == 5555).all()
@@ -817,16 +877,16 @@ class TestPassPlan:
         real_kernel = FORCED_PLANS[kernel][0]
         real_relax = solver.SearchGraph._relax
 
-        def recording(values, out, spare):
+        def recording(values, out, scratch):
             # The pass drops its weights when it ends, so they are read here.
-            assert all(a.flags.c_contiguous for a in (values, out, spare))
+            assert all(a.flags.c_contiguous for a in (values, out, scratch))
             shapes.append(values.shape)
             t = graph._t
             for c, o in ((0, 1), (1, 0)):
                 weights = graph._into[c]
                 assert weights.flags.c_contiguous
                 assert np.array_equal(weights, 2 * np.maximum(t[o][None, :] - t[c][:, None], 0))
-            real_kernel(values, out, spare)
+            real_kernel(values, out, scratch)
 
         monkeypatch.setattr(solver, "pass_plan", lambda width, cpus: (recording, False))
         monkeypatch.setattr(
